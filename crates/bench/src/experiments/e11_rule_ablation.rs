@@ -17,7 +17,7 @@ use axml_core::cost::CostModel;
 use axml_core::prelude::*;
 use axml_core::rules::{standard_rules, RewriteRule};
 
-fn build() -> AxmlSystem {
+pub(crate) fn build() -> AxmlSystem {
     AxmlSystem::builder()
         .peers(["client", "data", "relay"])
         // data is far; the relay path is decent
@@ -38,7 +38,7 @@ fn build() -> AxmlSystem {
 }
 
 /// The standard rules minus the named one.
-fn rules_without(name: &str) -> Vec<Box<dyn RewriteRule>> {
+pub(crate) fn rules_without(name: &str) -> Vec<Box<dyn RewriteRule>> {
     standard_rules()
         .into_iter()
         .filter(|r| r.name() != name)

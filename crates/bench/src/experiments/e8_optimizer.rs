@@ -17,7 +17,7 @@ use std::time::Instant;
 /// Beam widths swept in the ablation.
 pub const BEAMS: &[usize] = &[1, 2, 4, 8, 16];
 
-fn build() -> AxmlSystem {
+pub(crate) fn build() -> AxmlSystem {
     let mut sys = AxmlSystem::builder()
         .peers(["client", "data-1", "data-2"])
         .link("client", "data-1", LinkCost::wan())
@@ -37,7 +37,7 @@ fn build() -> AxmlSystem {
     sys
 }
 
-fn shapes() -> Vec<(&'static str, Expr)> {
+pub(crate) fn shapes() -> Vec<(&'static str, Expr)> {
     let a = PeerId(0);
     let b = PeerId(1);
     let sel = selective_query();

@@ -15,6 +15,8 @@ pub mod e6_push_over_sc;
 pub mod e7_pick_policies;
 pub mod e8_optimizer;
 pub mod e9_scalability;
+#[cfg(test)]
+mod search_identity;
 
 use crate::report::Report;
 

@@ -21,6 +21,7 @@ use axml_net::link::LinkCost;
 use axml_query::estimate::{estimate as estimate_query, ForestStats};
 use axml_query::Query;
 use axml_xml::ids::{DocName, PeerId, ServiceName};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -242,7 +243,7 @@ impl CostModel {
     /// Estimate `eval@site(expr)`.
     pub fn estimate(&self, site: PeerId, expr: &Expr) -> EstimatedEval {
         let mut cost = Cost::zero();
-        let value_bytes = self.est(site, expr, &mut cost);
+        let value_bytes = self.est(site, expr, None, &mut cost);
         // Infinities are legal (unreachable links price a plan out), but a
         // NaN would poison every comparison downstream of the beam search.
         debug_assert!(
@@ -257,16 +258,25 @@ impl CostModel {
         self.estimate(site, expr).cost.scalar()
     }
 
-    fn est(&self, site: PeerId, expr: &Expr, cost: &mut Cost) -> f64 {
+    /// Estimate `eval@site(expr)` into `cost`, returning the value's bytes.
+    ///
+    /// `shipped_to` is set once `expr` sits inside a plan delegated to that
+    /// peer: the inline payloads it carries (query definitions, literal
+    /// trees) then reside there, as [`Expr::relocate_query_defs`] records
+    /// for the evaluator. Passing the override down stands in for a
+    /// relocated copy of the delegated plan.
+    fn est(&self, site: PeerId, expr: &Expr, shipped_to: Option<PeerId>, cost: &mut Cost) -> f64 {
+        let moved = |p: PeerId| shipped_to.unwrap_or(p);
         match expr {
             Expr::Tree { tree, at } => {
                 let size = tree.serialized_size() as f64;
-                if *at != site {
+                let at = moved(*at);
+                if at != site {
                     // The evaluator fetches literal trees by reference
                     // (small request), then ships the tree back.
-                    let link_req = self.link(site, *at);
+                    let link_req = self.link(site, at);
                     cost.charge(&link_req, 48.0 + REQUEST_OVERHEAD, false);
-                    let link = self.link(*at, site);
+                    let link = self.link(at, site);
                     cost.charge(&link, size, false);
                 }
                 size
@@ -283,21 +293,22 @@ impl CostModel {
                 size
             }
             Expr::Apply { query, args } => {
-                if query.def_at != site {
+                let def_at = moved(query.def_at);
+                if def_at != site {
                     cost.charge(
-                        &self.link(query.def_at, site),
+                        &self.link(def_at, site),
                         query.query.wire_size() as f64,
                         false,
                     );
                 }
                 let mut arg_bytes = Vec::with_capacity(args.len());
                 for a in args {
-                    arg_bytes.push(self.est(site, a, cost));
+                    arg_bytes.push(self.est(site, a, shipped_to, cost));
                 }
                 self.query_result_bytes(site, &query.query, args, &arg_bytes)
             }
             Expr::Send { dest, payload } => {
-                let v = self.est(site, payload, cost);
+                let v = self.est(site, payload, shipped_to, cost);
                 match dest {
                     SendDest::Peer(q) => {
                         cost.charge(&self.link(site, *q), v, *q == site);
@@ -338,7 +349,7 @@ impl CostModel {
                 let mut param_bytes = Vec::with_capacity(params.len());
                 let mut total_params = 0.0;
                 for p in params {
-                    let b = self.est(site, p, cost);
+                    let b = self.est(site, p, shipped_to, cost);
                     total_params += b;
                     param_bytes.push(b);
                 }
@@ -362,33 +373,32 @@ impl CostModel {
                 }
             }
             Expr::EvalAt { peer, expr: inner } => {
-                let mut shipped;
-                let inner: &Expr = if *peer != site {
-                    cost.charge(&self.link(site, *peer), inner.wire_size() as f64, false);
-                    shipped = (**inner).clone();
-                    shipped.relocate_query_defs(*peer);
-                    &shipped
+                let shipped_to = if *peer != site {
+                    let bytes = inner.shipped_wire_size(shipped_to);
+                    cost.charge(&self.link(site, *peer), bytes as f64, false);
+                    Some(*peer)
                 } else {
-                    inner
+                    shipped_to
                 };
                 if let Expr::Send {
                     dest: SendDest::Peer(back),
                     payload,
-                } = inner
+                } = &**inner
                 {
                     if back == &site {
-                        let v = self.est(*peer, payload, cost);
+                        let v = self.est(*peer, payload, shipped_to, cost);
                         cost.charge(&self.link(*peer, site), v, *peer == site);
                         return v;
                     }
                 }
-                let _ = self.est(*peer, inner, cost);
+                let _ = self.est(*peer, inner, shipped_to, cost);
                 0.0
             }
             Expr::Deploy { to, query, .. } => {
-                if query.def_at != *to {
+                let def_at = moved(query.def_at);
+                if def_at != *to {
                     cost.charge(
-                        &self.link(query.def_at, *to),
+                        &self.link(def_at, *to),
                         query.query.wire_size() as f64,
                         false,
                     );
@@ -398,7 +408,7 @@ impl CostModel {
             Expr::Seq(es) => {
                 let mut last = 0.0;
                 for e in es {
-                    last = self.est(site, e, cost);
+                    last = self.est(site, e, shipped_to, cost);
                 }
                 last
             }
@@ -417,7 +427,7 @@ impl CostModel {
         if let Some(plan) = query.plan() {
             // Build stats per parameter where the argument is a document
             // reference with known statistics.
-            let mut stats: Vec<ForestStats> = Vec::with_capacity(args.len());
+            let mut stats: Vec<Cow<'_, ForestStats>> = Vec::with_capacity(args.len());
             let mut usable = !args.is_empty() || plan.arity == 0;
             for a in args {
                 match a {
@@ -426,7 +436,7 @@ impl CostModel {
                             .resolve_doc(site, name, at)
                             .and_then(|(p, n)| self.doc_stats.get(&(p, n)))
                         {
-                            Some(s) => stats.push(s.clone()),
+                            Some(s) => stats.push(Cow::Borrowed(s)),
                             None => {
                                 usable = false;
                                 break;
@@ -434,7 +444,7 @@ impl CostModel {
                         }
                     }
                     Expr::Tree { tree, .. } => {
-                        stats.push(ForestStats::collect(std::slice::from_ref(tree)));
+                        stats.push(Cow::Owned(ForestStats::collect(std::slice::from_ref(tree))));
                     }
                     _ => {
                         usable = false;
@@ -447,7 +457,7 @@ impl CostModel {
                 let mut all = stats;
                 if all.is_empty() {
                     if let Some(ps) = self.peer_stats.get(&site) {
-                        all.push(ps.clone());
+                        all.push(Cow::Borrowed(ps));
                     }
                 }
                 let e = estimate_query(plan, &all);
@@ -589,6 +599,53 @@ mod tests {
         let (home, _) = m.resolve_doc(a, &"cat".into(), &PeerRef::Any).unwrap();
         assert_eq!(home, c);
         assert!(m.resolve_doc(a, &"none".into(), &PeerRef::Any).is_none());
+    }
+
+    #[test]
+    fn shipped_override_matches_a_relocated_copy() {
+        // Twelve peers, so relocating a definition from `a` (p0) to `z`
+        // (p11) changes its serialized `def-at` width.
+        let mut sys = AxmlSystem::new();
+        let peers: Vec<PeerId> = (0..12).map(|i| sys.add_peer(format!("p{i}"))).collect();
+        let (a, z) = (peers[0], peers[11]);
+        sys.net_mut().set_link(a, z, LinkCost::wan());
+        let m = CostModel::from_system(&sys);
+        let q = Query::parse("sel", r#"for $p in $0//pkg return {$p/@name}"#).unwrap();
+        let apply = Expr::Apply {
+            query: LocatedQuery::new(q.clone(), a),
+            args: vec![Expr::Tree {
+                tree: Tree::parse("<catalog><pkg name=\"x\"/></catalog>").unwrap(),
+                at: a,
+            }],
+        };
+        let delegate = |peer: PeerId, back: PeerId, e: Expr| Expr::EvalAt {
+            peer,
+            expr: Box::new(Expr::Send {
+                dest: SendDest::Peer(back),
+                payload: Box::new(e),
+            }),
+        };
+        let nested = delegate(a, z, apply.clone());
+        // A delegation inside a delegation: the inner one ships a body
+        // whose definitions already moved with the outer one.
+        let twice = delegate(z, a, delegate(a, z, apply.clone()));
+        let deploy = Expr::Deploy {
+            to: z,
+            query: LocatedQuery::new(q, a),
+            as_service: "svc".into(),
+        };
+        for e in [apply, nested, twice, deploy] {
+            for site in [a, z] {
+                for to in [a, z] {
+                    let mut moved = e.clone();
+                    moved.relocate_query_defs(to);
+                    let (mut c1, mut c2) = (Cost::zero(), Cost::zero());
+                    let v1 = m.est(site, &e, Some(to), &mut c1);
+                    let v2 = m.est(site, &moved, None, &mut c2);
+                    assert_eq!((v1, c1), (v2, c2), "{e} at {site}, held at {to}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -43,7 +43,10 @@
 //! [`ParallelStats`] at the scope's join barrier (the same shape
 //! [`axml_obs::EvalMetrics::merge`] provides for metric accumulators),
 //! so `EvalMetrics`⇄`NetStats` reconciliation is untouched: metrics
-//! are only ever written by the committing coordinator.
+//! are only ever written by the committing coordinator. The workers'
+//! thread-local [`CopyStats`] deltas are folded into the coordinator's
+//! at the same barrier, so a run's copy accounting does not depend on
+//! the driver.
 
 use crate::engine::{Cont, Delivery, EvalSession, Intent, Runnable};
 use crate::error::{CoreError, CoreResult};
@@ -51,6 +54,7 @@ use crate::peer::PeerState;
 use crate::system::AxmlSystem;
 use axml_query::Query;
 use axml_xml::ids::{PeerId, ServiceName};
+use axml_xml::stats::CopyStats;
 use axml_xml::tree::Tree;
 
 /// Which driver [`AxmlSystem`] uses to run evaluation sessions.
@@ -391,15 +395,17 @@ pub(crate) fn precompute(
         }
         b
     };
-    let computed: Vec<Vec<(usize, Precomp)>> = std::thread::scope(|scope| {
+    let computed: Vec<(Vec<(usize, Precomp)>, CopyStats)> = std::thread::scope(|scope| {
         let handles: Vec<_> = buckets
             .into_iter()
             .map(|bucket| {
                 scope.spawn(move || {
-                    bucket
+                    let copies0 = CopyStats::snapshot();
+                    let out = bucket
                         .into_iter()
                         .map(|(ix, job)| (ix, run_job(peers, epochs, job)))
-                        .collect::<Vec<_>>()
+                        .collect::<Vec<_>>();
+                    (out, CopyStats::snapshot().delta_since(&copies0))
                 })
             })
             .collect();
@@ -409,7 +415,9 @@ pub(crate) fn precompute(
             .map(|h| h.join().expect("precompute worker must not panic"))
             .collect()
     });
-    for worker_out in computed {
+    for (worker_out, copies) in computed {
+        // The workers' tree copies belong to the caller's run.
+        CopyStats::absorb(&copies);
         for (ix, p) in worker_out {
             out[ix] = Some(p);
         }

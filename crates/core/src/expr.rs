@@ -25,9 +25,11 @@
 
 use crate::error::{CoreError, CoreResult};
 use axml_query::Query;
+use axml_xml::escape::{escaped_attr_len, escaped_text_len, push_escaped_attr, push_escaped_text};
 use axml_xml::ids::{DocName, NodeAddr, PeerId, ServiceName};
 use axml_xml::tree::{NodeId, Tree};
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A peer reference: concrete, or the generic `any` of §2.3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -230,25 +232,58 @@ impl Expr {
     }
 
     /// Rebuild this expression with sub-expression `index` (in
-    /// [`Expr::children`] order) replaced.
+    /// [`Expr::children`] order) replaced. The replaced child is never
+    /// cloned (the optimizer calls this once per candidate plan).
     pub fn with_child(&self, index: usize, child: Expr) -> Expr {
-        let mut out = self.clone();
-        match &mut out {
-            Expr::Apply { args, .. } => args[index] = child,
-            Expr::Send { payload, .. } => {
+        let mut child = Some(child);
+        let mut rebuild = |es: &[Expr]| -> Vec<Expr> {
+            es.iter()
+                .enumerate()
+                .map(|(i, e)| {
+                    if i == index {
+                        child.take().expect("one child per index")
+                    } else {
+                        e.clone()
+                    }
+                })
+                .collect()
+        };
+        let out = match self {
+            Expr::Apply { query, args } => Expr::Apply {
+                query: query.clone(),
+                args: rebuild(args),
+            },
+            Expr::Sc {
+                provider,
+                service,
+                params,
+                forward,
+            } => Expr::Sc {
+                provider: *provider,
+                service: service.clone(),
+                params: rebuild(params),
+                forward: forward.clone(),
+            },
+            Expr::Seq(es) => Expr::Seq(rebuild(es)),
+            Expr::Send { dest, .. } => {
                 assert_eq!(index, 0);
-                **payload = child;
+                Expr::Send {
+                    dest: dest.clone(),
+                    payload: Box::new(child.take().expect("one child")),
+                }
             }
-            Expr::Sc { params, .. } => params[index] = child,
-            Expr::EvalAt { expr, .. } => {
+            Expr::EvalAt { peer, .. } => {
                 assert_eq!(index, 0);
-                **expr = child;
+                Expr::EvalAt {
+                    peer: *peer,
+                    expr: Box::new(child.take().expect("one child")),
+                }
             }
-            Expr::Seq(es) => es[index] = child,
             Expr::Tree { .. } | Expr::Doc { .. } | Expr::Deploy { .. } => {
                 panic!("leaf expression has no children")
             }
-        }
+        };
+        assert!(child.is_none(), "child index {index} out of range");
         out
     }
 
@@ -329,20 +364,169 @@ impl Expr {
     }
 
     /// A canonical string identity (used for memoization in the optimizer
-    /// and for equality in tests) — the compact XML serialization.
+    /// and for equality in tests) — the compact XML serialization, as
+    /// [`Expr::write_wire`] writes it.
     pub fn fingerprint(&self) -> String {
-        self.to_xml().serialize()
+        // Counting first is cheap (no allocation) and saves the regrowth
+        // of a string written from empty.
+        let mut out = String::with_capacity(self.wire_size());
+        self.write_wire(&mut out);
+        out
     }
 
     /// Wire size in bytes when this expression is shipped (delegations,
-    /// requests).
+    /// requests): the length [`Expr::write_wire`] would write, counted
+    /// without writing it.
     pub fn wire_size(&self) -> usize {
-        self.to_xml().serialized_size()
+        self.shipped_wire_size(None)
     }
 
-    // -------------------- XML serialization ---------------------------
+    /// Append the compact XML form of the expression (§3.1's
+    /// serialization, the bytes that cross the wire) to `out`. It is
+    /// byte-identical to `to_xml().serialize()` but builds no tree:
+    /// embedded queries contribute their cached [`Query::wire_xml`], and
+    /// literal trees stream through [`Tree::serialize_into`].
+    pub fn write_wire(&self, out: &mut String) {
+        self.write_to(out, None);
+    }
 
-    /// Serialize as an XML tree (§3.1).
+    /// [`Expr::wire_size`] of the expression as it would read after
+    /// [`Expr::relocate_query_defs`]`(to)` — what a nested delegation
+    /// inside an already-shipped plan costs — without cloning it.
+    pub(crate) fn shipped_wire_size(&self, relocated_to: Option<PeerId>) -> usize {
+        let mut len = WireLen(0);
+        self.write_to(&mut len, relocated_to);
+        len.0
+    }
+
+    /// The one wire writer. `relocated_to` overrides the locations that
+    /// [`Expr::relocate_query_defs`] would rewrite (query `def-at`s and
+    /// literal-tree `at`s).
+    fn write_to<W: WireSink>(&self, w: &mut W, relocated_to: Option<PeerId>) {
+        let moved = |p: PeerId| relocated_to.unwrap_or(p);
+        match self {
+            Expr::Tree { tree, at } => {
+                w.raw("<tree at=\"");
+                w.num(moved(*at).index());
+                w.raw("\">");
+                w.tree(tree);
+                w.raw("</tree>");
+            }
+            Expr::Doc { name, at } => {
+                w.raw("<doc name=\"");
+                w.attr_value(name.as_str());
+                w.raw("\" at=\"");
+                w.peer_ref(at);
+                w.raw("\"/>");
+            }
+            Expr::Apply { query, args } => {
+                w.raw("<apply def-at=\"");
+                w.num(moved(query.def_at).index());
+                w.raw("\">");
+                w.raw(query.query.wire_xml());
+                if args.is_empty() {
+                    w.raw("<args/>");
+                } else {
+                    w.raw("<args>");
+                    for a in args {
+                        a.write_to(w, relocated_to);
+                    }
+                    w.raw("</args>");
+                }
+                w.raw("</apply>");
+            }
+            Expr::Send { dest, payload } => {
+                match dest {
+                    SendDest::Peer(p) => {
+                        w.raw("<send peer=\"");
+                        w.num(p.index());
+                        w.raw("\">");
+                    }
+                    SendDest::Nodes(addrs) => {
+                        w.raw("<send>");
+                        for a in addrs {
+                            w.forw(a);
+                        }
+                    }
+                    SendDest::NewDoc { peer, name } => {
+                        w.raw("<send newdoc-peer=\"");
+                        w.num(peer.index());
+                        w.raw("\" newdoc-name=\"");
+                        w.attr_value(name.as_str());
+                        w.raw("\">");
+                    }
+                }
+                w.raw("<payload>");
+                payload.write_to(w, relocated_to);
+                w.raw("</payload></send>");
+            }
+            Expr::Sc {
+                provider,
+                service,
+                params,
+                forward,
+            } => {
+                w.raw("<sc><peer>");
+                w.peer_ref(provider);
+                w.raw("</peer><service>");
+                w.text(service.as_str());
+                w.raw("</service>");
+                for (i, p) in params.iter().enumerate() {
+                    w.raw("<param");
+                    w.num(i + 1);
+                    w.raw(">");
+                    p.write_to(w, relocated_to);
+                    w.raw("</param");
+                    w.num(i + 1);
+                    w.raw(">");
+                }
+                for a in forward {
+                    w.forw(a);
+                }
+                w.raw("</sc>");
+            }
+            Expr::EvalAt { peer, expr } => {
+                w.raw("<evalat peer=\"");
+                w.num(peer.index());
+                w.raw("\">");
+                expr.write_to(w, relocated_to);
+                w.raw("</evalat>");
+            }
+            Expr::Deploy {
+                to,
+                query,
+                as_service,
+            } => {
+                w.raw("<deploy to=\"");
+                w.num(to.index());
+                w.raw("\" as=\"");
+                w.attr_value(as_service.as_str());
+                w.raw("\" def-at=\"");
+                w.num(moved(query.def_at).index());
+                w.raw("\">");
+                w.raw(query.query.wire_xml());
+                w.raw("</deploy>");
+            }
+            Expr::Seq(es) => {
+                if es.is_empty() {
+                    w.raw("<seq/>");
+                } else {
+                    w.raw("<seq>");
+                    for e in es {
+                        e.write_to(w, relocated_to);
+                    }
+                    w.raw("</seq>");
+                }
+            }
+        }
+    }
+
+    // -------------------- XML tree form -------------------------------
+
+    /// Serialize as an XML tree (§3.1) — the form [`Expr::from_xml`]
+    /// decodes. Nothing on the wire path builds it: [`Expr::write_wire`]
+    /// writes the same bytes directly, and the tests hold the two
+    /// against each other.
     pub fn to_xml(&self) -> Tree {
         let mut t = Tree::new("expr");
         let root = t.root();
@@ -713,6 +897,84 @@ pub fn format_addr(a: &NodeAddr) -> String {
     format!("{}#{}@p{}", a.doc, a.node.index(), a.peer.0)
 }
 
+/// Where [`Expr::write_to`] puts the wire form: the text itself
+/// (`String`), or only its length ([`WireLen`]). Each method writes —
+/// or counts — exactly what the tree serializer would emit for the
+/// corresponding node.
+trait WireSink {
+    /// Markup written verbatim.
+    fn raw(&mut self, s: &str);
+    /// A decimal number (peer and node indexes).
+    fn num(&mut self, n: usize);
+    /// An escaped attribute value.
+    fn attr_value(&mut self, s: &str);
+    /// Escaped character data.
+    fn text(&mut self, s: &str);
+    /// A literal tree in compact form.
+    fn tree(&mut self, t: &Tree);
+
+    /// A peer reference as [`PeerRef`]'s `Display` spells it.
+    fn peer_ref(&mut self, p: &PeerRef) {
+        match p {
+            PeerRef::At(p) => {
+                self.raw("p");
+                self.num(p.index());
+            }
+            PeerRef::Any => self.raw("any"),
+        }
+    }
+
+    /// `<forw>` with a [`format_addr`] node address.
+    fn forw(&mut self, a: &NodeAddr) {
+        self.raw("<forw>");
+        self.text(a.doc.as_str());
+        self.raw("#");
+        self.num(a.node.index());
+        self.raw("@p");
+        self.num(a.peer.index());
+        self.raw("</forw>");
+    }
+}
+
+impl WireSink for String {
+    fn raw(&mut self, s: &str) {
+        self.push_str(s);
+    }
+    fn num(&mut self, n: usize) {
+        write!(self, "{n}").expect("writing to a String");
+    }
+    fn attr_value(&mut self, s: &str) {
+        push_escaped_attr(self, s);
+    }
+    fn text(&mut self, s: &str) {
+        push_escaped_text(self, s);
+    }
+    fn tree(&mut self, t: &Tree) {
+        t.serialize_into(t.root(), self);
+    }
+}
+
+/// A [`WireSink`] that only counts bytes.
+struct WireLen(usize);
+
+impl WireSink for WireLen {
+    fn raw(&mut self, s: &str) {
+        self.0 += s.len();
+    }
+    fn num(&mut self, n: usize) {
+        self.0 += n.checked_ilog10().unwrap_or(0) as usize + 1;
+    }
+    fn attr_value(&mut self, s: &str) {
+        self.0 += escaped_attr_len(s);
+    }
+    fn text(&mut self, s: &str) {
+        self.0 += escaped_text_len(s);
+    }
+    fn tree(&mut self, t: &Tree) {
+        self.0 += t.serialized_size();
+    }
+}
+
 /// Parse a wire node address.
 pub fn parse_addr(s: &str) -> CoreResult<NodeAddr> {
     let (doc, rest) = s
@@ -905,6 +1167,22 @@ mod tests {
         for e in samples() {
             assert!(e.wire_size() > 10, "{e}");
             assert_eq!(e.wire_size(), e.fingerprint().len());
+        }
+    }
+
+    #[test]
+    fn shipped_size_matches_a_relocated_copy() {
+        for e in samples() {
+            assert_eq!(e.shipped_wire_size(None), e.wire_size());
+            for to in [PeerId(0), PeerId(2), PeerId(12), PeerId(345)] {
+                let mut moved = e.clone();
+                moved.relocate_query_defs(to);
+                assert_eq!(
+                    e.shipped_wire_size(Some(to)),
+                    moved.wire_size(),
+                    "{e} → {to}"
+                );
+            }
         }
     }
 

@@ -15,6 +15,7 @@ use crate::ast::{Axis, CmpOp};
 use crate::plan::{Op, OperandPlan, PathPlan, Plan, PlanStep, PlanTest, PredPlan, StartRef};
 use axml_xml::label::Label;
 use axml_xml::tree::{NodeKind, Tree};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// Default selectivity of an equality predicate when the number of
@@ -219,13 +220,15 @@ pub fn pred_selectivity(pred: &PredPlan, stats: &ForestStats) -> f64 {
 }
 
 /// Estimate the output of `plan` when parameter `i` is described by
-/// `stats[i]`.
-pub fn estimate(plan: &Plan, stats: &[ForestStats]) -> Estimate {
+/// `stats[i]` (owned or borrowed statistics alike, so callers holding
+/// per-document statistics need not clone them).
+pub fn estimate<S: Borrow<ForestStats>>(plan: &Plan, stats: &[S]) -> Estimate {
     let empty = ForestStats::default();
+    let nth = |i: usize| stats.get(i).map_or(&empty, Borrow::borrow);
     let stats_for = |path: &PathPlan| -> &ForestStats {
         match &path.start {
-            StartRef::Source(crate::plan::SourceRef::Param(i)) => stats.get(*i).unwrap_or(&empty),
-            _ => stats.first().unwrap_or(&empty),
+            StartRef::Source(crate::plan::SourceRef::Param(i)) => nth(*i),
+            _ => nth(0),
         }
     };
     // Walk the operator chain innermost-first, multiplying cardinalities.
@@ -254,12 +257,11 @@ pub fn estimate(plan: &Plan, stats: &[ForestStats]) -> Estimate {
             }
             Op::LetBind { .. } => {}
             Op::Filter { pred, .. } => {
-                let s = stats.first().unwrap_or(&empty);
-                card *= pred_selectivity(pred, s);
+                card *= pred_selectivity(pred, nth(0));
             }
         }
     }
-    if stats.iter().all(|s| s.n_trees == 0) && plan.arity > 0 {
+    if stats.iter().all(|s| s.borrow().n_trees == 0) && plan.arity > 0 {
         return Estimate::zero();
     }
     Estimate {

@@ -4,8 +4,9 @@
 //! §2.2: declarative services are implemented by *"declarative XML query
 //! statements, possibly parameterized"* whose definitions are **visible to
 //! other peers**. A [`Query`] therefore carries its own definition and can
-//! be serialized to an XML tree ([`Query::to_xml`]) — this is what crosses
-//! the wire when the algebra ships code (`send(p2, q@p1)`, definition (8)).
+//! be serialized to an XML tree ([`Query::to_xml`]); its compact text,
+//! [`Query::wire_xml`], is what crosses the wire when the algebra ships
+//! code (`send(p2, q@p1)`, definition (8)).
 //!
 //! A query is either a *leaf* (parsed source + compiled plan) or a
 //! *composition* `q1(q2, …, qn)` (§3.3, rule (11)): the inner queries all
@@ -20,17 +21,36 @@ use crate::lower::lower;
 use crate::parser::parse_query;
 use crate::plan::Plan;
 use crate::rewrite;
+use axml_xml::escape::{push_escaped_attr, push_escaped_text};
 use axml_xml::ids::QueryName;
 use axml_xml::tree::Tree;
 use std::fmt;
-use std::sync::Arc;
+use std::fmt::Write as _;
+use std::sync::{Arc, OnceLock};
 
 /// A named query: the unit the algebra ships, delegates and composes.
 #[derive(Clone)]
 pub struct Query {
     name: QueryName,
     arity: usize,
-    kind: Arc<QueryKind>,
+    shared: Arc<Shared>,
+}
+
+/// What clones of one query value share: its definition, and its wire
+/// XML once something has asked for it. The cached string lives exactly
+/// as long as the value (and its clones) do.
+struct Shared {
+    kind: QueryKind,
+    wire: OnceLock<String>,
+}
+
+impl Shared {
+    fn new(kind: QueryKind) -> Arc<Self> {
+        Arc::new(Shared {
+            kind,
+            wire: OnceLock::new(),
+        })
+    }
 }
 
 #[allow(clippy::large_enum_variant)] // Leaf is by far the common case
@@ -66,7 +86,7 @@ impl Query {
         Ok(Query {
             name: name.into(),
             arity: plan.arity,
-            kind: Arc::new(QueryKind::Leaf {
+            shared: Shared::new(QueryKind::Leaf {
                 source: src.to_string(),
                 body,
                 plan,
@@ -80,7 +100,7 @@ impl Query {
         Query {
             name: name.into(),
             arity: plan.arity,
-            kind: Arc::new(QueryKind::Leaf {
+            shared: Shared::new(QueryKind::Leaf {
                 source: format!("<compiled>\n{plan}"),
                 body: QueryBody::Bare(crate::ast::Path::start_only(crate::ast::PathStart::Param(
                     0,
@@ -108,7 +128,7 @@ impl Query {
         Ok(Query {
             name: name.into(),
             arity,
-            kind: Arc::new(QueryKind::Composed { outer, inners }),
+            shared: Shared::new(QueryKind::Composed { outer, inners }),
         })
     }
 
@@ -124,12 +144,12 @@ impl Query {
 
     /// Is this a composition?
     pub fn is_composed(&self) -> bool {
-        matches!(&*self.kind, QueryKind::Composed { .. })
+        matches!(&self.shared.kind, QueryKind::Composed { .. })
     }
 
     /// The compiled plan of a leaf query.
     pub fn plan(&self) -> Option<&Plan> {
-        match &*self.kind {
+        match &self.shared.kind {
             QueryKind::Leaf { plan, .. } => Some(plan),
             QueryKind::Composed { .. } => None,
         }
@@ -137,7 +157,7 @@ impl Query {
 
     /// The outer/inner structure of a composition.
     pub fn composition(&self) -> Option<(&Query, &[Query])> {
-        match &*self.kind {
+        match &self.shared.kind {
             QueryKind::Composed { outer, inners } => Some((outer, inners)),
             QueryKind::Leaf { .. } => None,
         }
@@ -158,10 +178,9 @@ impl Query {
                 }
             };
             plan.ops.for_each_path(&mut record);
-            let mut probe = plan.clone();
-            crate::rewrite::map_paths(&mut probe, &mut |p| record(p));
+            crate::rewrite::visit_paths(plan, &mut record);
         };
-        match &*self.kind {
+        match &self.shared.kind {
             QueryKind::Leaf { plan, .. } => add_from_plan(plan),
             QueryKind::Composed { outer, inners } => {
                 for d in outer.doc_dependencies() {
@@ -183,7 +202,7 @@ impl Query {
 
     /// The source text of a leaf query.
     pub fn source(&self) -> Option<&str> {
-        match &*self.kind {
+        match &self.shared.kind {
             QueryKind::Leaf { source, .. } => Some(source),
             QueryKind::Composed { .. } => None,
         }
@@ -200,7 +219,7 @@ impl Query {
         inputs: &[Forest],
         docs: &dyn DocResolver,
     ) -> QueryResult<Vec<Tree>> {
-        match &*self.kind {
+        match &self.shared.kind {
             QueryKind::Leaf { plan, .. } => plan.eval(inputs, docs),
             QueryKind::Composed { outer, inners } => {
                 let mid: Vec<Forest> = inners
@@ -214,7 +233,7 @@ impl Query {
 
     /// Start a continuous (incremental) evaluation of a **leaf** query.
     pub fn continuous<'d>(&self, docs: &'d dyn DocResolver) -> QueryResult<ContinuousEval<'d>> {
-        match &*self.kind {
+        match &self.shared.kind {
             QueryKind::Leaf { plan, .. } => Ok(ContinuousEval::new(plan.clone(), docs)),
             QueryKind::Composed { .. } => Err(QueryError::NotApplicable(
                 "continuous evaluation of compositions: evaluate stage by stage".into(),
@@ -256,7 +275,7 @@ impl Query {
             .expect("query elements are elements");
         t.set_attr(at, "arity", self.arity.to_string())
             .expect("query elements are elements");
-        match &*self.kind {
+        match &self.shared.kind {
             QueryKind::Leaf { source, .. } => {
                 t.add_text_element(at, "source", source.clone());
             }
@@ -303,10 +322,38 @@ impl Query {
         ))
     }
 
+    /// The compact wire XML of the query (definition included) — what
+    /// ships with a delegated plan or a deployment. Byte-identical to
+    /// `to_xml().serialize()`, computed on first use and kept on the
+    /// value, so a query embedded in many candidate plans is written once.
+    pub fn wire_xml(&self) -> &str {
+        self.shared.wire.get_or_init(|| {
+            let mut out = String::from("<query name=\"");
+            push_escaped_attr(&mut out, self.name.as_str());
+            write!(out, "\" arity=\"{}\">", self.arity).expect("writing to a String");
+            match &self.shared.kind {
+                QueryKind::Leaf { source, .. } => {
+                    out.push_str("<source>");
+                    push_escaped_text(&mut out, source);
+                    out.push_str("</source>");
+                }
+                QueryKind::Composed { outer, inners } => {
+                    out.push_str("<compose>");
+                    for q in std::iter::once(outer).chain(inners) {
+                        out.push_str(q.wire_xml());
+                    }
+                    out.push_str("</compose>");
+                }
+            }
+            out.push_str("</query>");
+            out
+        })
+    }
+
     /// Wire size of the shipped query (definition included) — what the
     /// cost model charges for code shipping (rule (10), definition (8)).
     pub fn wire_size(&self) -> usize {
-        self.to_xml().serialized_size()
+        self.wire_xml().len()
     }
 }
 
@@ -315,7 +362,7 @@ impl PartialEq for Query {
         if self.arity != other.arity {
             return false;
         }
-        match (&*self.kind, &*other.kind) {
+        match (&self.shared.kind, &other.shared.kind) {
             (QueryKind::Leaf { plan: a, .. }, QueryKind::Leaf { plan: b, .. }) => a == b,
             (
                 QueryKind::Composed {
@@ -336,7 +383,7 @@ impl Eq for Query {}
 
 impl fmt::Debug for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &*self.kind {
+        match &self.shared.kind {
             QueryKind::Leaf { source, .. } => {
                 write!(f, "Query({} /{}: {source})", self.name, self.arity)
             }
@@ -452,6 +499,28 @@ mod tests {
         let a = q.eval_batch(&[vec![catalog()]]).unwrap();
         let b = back.eval_batch(&[vec![catalog()]]).unwrap();
         assert!(forest_equiv(&a, &b));
+    }
+
+    #[test]
+    fn wire_xml_matches_the_tree_serialization() {
+        let leaf = Query::parse(
+            "a&b<\"q\">",
+            r#"for $p in $0//pkg where $p/@n = "x&y" return {$p}"#,
+        )
+        .unwrap();
+        let outer = Query::parse("o", "for $t in $0 return <w>{$t}</w>").unwrap();
+        let composed = Query::compose("c'", outer, vec![leaf.clone()]).unwrap();
+        let (o, pushed) = Query::parse(
+            "d",
+            r#"for $p in $0//pkg where $p/size/text() > 1 return <b>{$p/@name}</b>"#,
+        )
+        .unwrap()
+        .decompose_selection()
+        .unwrap();
+        for q in [leaf, composed, o, pushed] {
+            assert_eq!(q.wire_xml(), q.to_xml().serialize(), "{q:?}");
+            assert_eq!(q.wire_size(), q.to_xml().serialized_size(), "{q:?}");
+        }
     }
 
     #[test]

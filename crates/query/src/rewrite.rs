@@ -200,17 +200,57 @@ pub fn decompose_selection(q: &Plan) -> Option<(Plan, Plan)> {
     Some((outer, pushed))
 }
 
+/// The read-only [`map_paths`]: visit every path of `plan`, nested
+/// predicate paths included, in the same order.
+pub fn visit_paths(plan: &Plan, f: &mut impl FnMut(&PathPlan)) {
+    fn in_tpl(t: &TemplatePlan, f: &mut impl FnMut(&PathPlan)) {
+        match t {
+            TemplatePlan::Element {
+                attrs, children, ..
+            } => {
+                for (_, a) in attrs {
+                    if let AttrTplPlan::Splice(p) = a {
+                        path_deep(p, f);
+                    }
+                }
+                for c in children {
+                    in_tpl(c, f);
+                }
+            }
+            TemplatePlan::Text(_) => {}
+            TemplatePlan::Splice(p) => path_deep(p, f),
+        }
+    }
+    fn in_op(op: &Op, f: &mut impl FnMut(&PathPlan)) {
+        match op {
+            Op::Unit => {}
+            Op::ForEach { path, input, .. } | Op::LetBind { path, input, .. } => {
+                path_deep(path, f);
+                in_op(input, f);
+            }
+            Op::Filter { pred, input } => {
+                visit_pred_paths(pred, f);
+                in_op(input, f);
+            }
+        }
+    }
+    in_op(&plan.ops, f);
+    in_tpl(&plan.template, f);
+}
+
+/// Visit a path's nested predicate paths, then the path itself.
+fn path_deep(p: &PathPlan, f: &mut impl FnMut(&PathPlan)) {
+    for s in &p.steps {
+        for pr in &s.preds {
+            visit_pred_paths(pr, f);
+        }
+    }
+    f(p);
+}
+
 /// Visit every path of a predicate, including paths nested inside step
 /// predicates.
 fn visit_pred_paths(pred: &PredPlan, f: &mut impl FnMut(&PathPlan)) {
-    fn path_deep(p: &PathPlan, f: &mut impl FnMut(&PathPlan)) {
-        for s in &p.steps {
-            for pr in &s.preds {
-                visit_pred_paths(pr, f);
-            }
-        }
-        f(p);
-    }
     match pred {
         PredPlan::And(a, b) | PredPlan::Or(a, b) => {
             visit_pred_paths(a, f);

@@ -1,43 +1,72 @@
 //! Escaping and unescaping of XML character data and attribute values.
+//!
+//! The escapable characters are all ASCII, so escaping scans bytes and
+//! copies the unescaped runs between them as whole slices.
+
+/// The entity for byte `b`, if it must be escaped (`quote`: in a
+/// double-quoted attribute value, where `"` is escaped too).
+fn entity(b: u8, quote: bool) -> Option<&'static str> {
+    match b {
+        b'&' => Some("&amp;"),
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        b'"' if quote => Some("&quot;"),
+        _ => None,
+    }
+}
+
+fn push_escaped(out: &mut String, s: &str, quote: bool) {
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if let Some(e) = entity(b, quote) {
+            out.push_str(&s[start..i]);
+            out.push_str(e);
+            start = i + 1;
+        }
+    }
+    out.push_str(&s[start..]);
+}
+
+fn escaped_len(s: &str, quote: bool) -> usize {
+    s.len()
+        + s.bytes()
+            .filter_map(|b| entity(b, quote))
+            .map(|e| e.len() - 1)
+            .sum::<usize>()
+}
 
 /// Escape text content: `&`, `<`, `>` are replaced by entities.
 pub fn escape_text(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push(c),
-        }
-    }
+    push_escaped_text(&mut out, s);
     out
 }
 
 /// Escape an attribute value (double-quoted): also escapes `"`.
 pub fn escape_attr(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
-    }
+    push_escaped_attr(&mut out, s);
     out
+}
+
+/// Append [`escape_text`]`(s)` to `out` without an intermediate string.
+pub fn push_escaped_text(out: &mut String, s: &str) {
+    push_escaped(out, s, false);
+}
+
+/// Append [`escape_attr`]`(s)` to `out` without an intermediate string.
+pub fn push_escaped_attr(out: &mut String, s: &str) {
+    push_escaped(out, s, true);
 }
 
 /// Number of bytes `escape_text(s)` would produce, without allocating.
 pub fn escaped_text_len(s: &str) -> usize {
-    s.chars()
-        .map(|c| match c {
-            '&' => 5,
-            '<' | '>' => 4,
-            _ => c.len_utf8(),
-        })
-        .sum()
+    escaped_len(s, false)
+}
+
+/// Number of bytes `escape_attr(s)` would produce, without allocating.
+pub fn escaped_attr_len(s: &str) -> usize {
+    escaped_len(s, true)
 }
 
 /// Resolve one entity (the text between `&` and `;`). Supports the five
@@ -81,8 +110,9 @@ mod tests {
 
     #[test]
     fn escaped_len_matches() {
-        for s in ["", "plain", "a<b&c>d", "ünïcode <&>", "\"q\""] {
+        for s in ["", "plain", "a<b&c>d", "ünïcode <&>", "\"q\"", "'&'"] {
             assert_eq!(escaped_text_len(s), escape_text(s).len(), "{s:?}");
+            assert_eq!(escaped_attr_len(s), escape_attr(s).len(), "{s:?}");
         }
     }
 

@@ -7,15 +7,47 @@
 //! allocating the string**, because the optimizer's cost model calls it on
 //! every candidate data transfer.
 
-use crate::escape::{escape_attr, escape_text, escaped_text_len};
+use crate::escape::{escaped_attr_len, escaped_text_len, push_escaped_attr, push_escaped_text};
 use crate::tree::{NodeId, NodeKind, Tree};
 
 impl Tree {
     /// Serialize the subtree rooted at `id` compactly.
     pub fn serialize_node(&self, id: NodeId) -> String {
         let mut out = String::with_capacity(self.serialized_size_node(id));
-        self.write_compact(id, &mut out);
+        self.serialize_into(id, &mut out);
         out
+    }
+
+    /// Append the compact serialization of the subtree rooted at `id` to
+    /// `out` (the streaming form of [`Tree::serialize_node`], for writers
+    /// that embed a tree in a larger document).
+    pub fn serialize_into(&self, id: NodeId, out: &mut String) {
+        match &self.node(id).kind {
+            NodeKind::Text(t) => push_escaped_text(out, t),
+            NodeKind::Element { label, attrs } => {
+                out.push('<');
+                out.push_str(label.as_str());
+                for (n, v) in attrs {
+                    out.push(' ');
+                    out.push_str(n.as_str());
+                    out.push_str("=\"");
+                    push_escaped_attr(out, v);
+                    out.push('"');
+                }
+                let children = self.children(id);
+                if children.is_empty() {
+                    out.push_str("/>");
+                } else {
+                    out.push('>');
+                    for &c in children {
+                        self.serialize_into(c, out);
+                    }
+                    out.push_str("</");
+                    out.push_str(label.as_str());
+                    out.push('>');
+                }
+            }
+        }
     }
 
     /// Serialize the whole tree compactly.
@@ -45,7 +77,7 @@ impl Tree {
                 let attrs_len: usize = attrs
                     .iter()
                     // space + name + ="..."
-                    .map(|(n, v)| 1 + n.len() + 2 + escape_attr(v).len() + 1)
+                    .map(|(n, v)| 1 + n.len() + 2 + escaped_attr_len(v) + 1)
                     .sum();
                 let children = self.children(id);
                 if children.is_empty() {
@@ -65,41 +97,12 @@ impl Tree {
         self.serialized_size_node(self.root())
     }
 
-    fn write_compact(&self, id: NodeId, out: &mut String) {
-        match &self.node(id).kind {
-            NodeKind::Text(t) => out.push_str(&escape_text(t)),
-            NodeKind::Element { label, attrs } => {
-                out.push('<');
-                out.push_str(label.as_str());
-                for (n, v) in attrs {
-                    out.push(' ');
-                    out.push_str(n.as_str());
-                    out.push_str("=\"");
-                    out.push_str(&escape_attr(v));
-                    out.push('"');
-                }
-                let children = self.children(id);
-                if children.is_empty() {
-                    out.push_str("/>");
-                } else {
-                    out.push('>');
-                    for &c in children {
-                        self.write_compact(c, out);
-                    }
-                    out.push_str("</");
-                    out.push_str(label.as_str());
-                    out.push('>');
-                }
-            }
-        }
-    }
-
     fn write_pretty(&self, id: NodeId, depth: usize, out: &mut String) {
         let pad = "  ".repeat(depth);
         match &self.node(id).kind {
             NodeKind::Text(t) => {
                 out.push_str(&pad);
-                out.push_str(&escape_text(t));
+                push_escaped_text(out, t);
                 out.push('\n');
             }
             NodeKind::Element { label, attrs } => {
@@ -110,7 +113,7 @@ impl Tree {
                     out.push(' ');
                     out.push_str(n.as_str());
                     out.push_str("=\"");
-                    out.push_str(&escape_attr(v));
+                    push_escaped_attr(out, v);
                     out.push('"');
                 }
                 let children = self.children(id);
@@ -121,7 +124,7 @@ impl Tree {
                     // compactly so indentation never pollutes text nodes.
                     out.push('>');
                     for &c in children {
-                        self.write_compact(c, out);
+                        self.serialize_into(c, out);
                     }
                     out.push_str("</");
                     out.push_str(label.as_str());

@@ -5,41 +5,54 @@
 //! *measurable*: every materializing copy (an explicit
 //! [`crate::tree::Tree::deep_copy`], a graft, or a copy-on-write
 //! materialization of a shared arena) and every avoided copy (a handle
-//! clone or share of an already-shared arena) is counted in process-wide
-//! atomics. Benchmarks and tests read the counters through
-//! [`CopyStats::snapshot`] / [`CopyStats::delta_since`]; the E9 fan-in
-//! benchmark asserts on the copied/shared ratio.
+//! clone or share of an already-shared arena) is counted. Benchmarks and
+//! tests read the counters through [`CopyStats::snapshot`] /
+//! [`CopyStats::delta_since`]; the E9 fan-in benchmark asserts on the
+//! copied/shared ratio.
 //!
-//! Counters are monotone and lock-free (`Relaxed` atomics — they are
-//! telemetry, not synchronization). `reset` exists for single-threaded
-//! measurement harnesses; concurrent tests should use deltas instead.
+//! Counters are **thread-local**: a snapshot delta taken on one thread
+//! counts exactly the copies that thread made, however many other tests
+//! or runs are copying trees beside it. Work a run hands to helper
+//! threads (the parallel driver's precompute workers) is credited back
+//! to the calling thread with [`CopyStats::absorb`] at the join, the way
+//! `EvalMetrics::merge` folds per-worker metrics, so a run's delta is the
+//! same whichever driver ran it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static BYTES_COPIED: AtomicU64 = AtomicU64::new(0);
-static NODES_COPIED: AtomicU64 = AtomicU64::new(0);
-static BYTES_SHARED: AtomicU64 = AtomicU64::new(0);
-static NODES_SHARED: AtomicU64 = AtomicU64::new(0);
-static COW_MATERIALIZATIONS: AtomicU64 = AtomicU64::new(0);
-static HANDLE_SHARES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static COUNTERS: Cell<CopyStats> = const { Cell::new(CopyStats::ZERO) };
+}
+
+fn bump(f: impl FnOnce(&mut CopyStats)) {
+    COUNTERS.with(|c| {
+        let mut s = c.get();
+        f(&mut s);
+        c.set(s);
+    });
+}
 
 /// Record a materializing copy of `nodes` nodes / `bytes` heap bytes.
 pub(crate) fn record_copy(nodes: u64, bytes: u64) {
-    NODES_COPIED.fetch_add(nodes, Ordering::Relaxed);
-    BYTES_COPIED.fetch_add(bytes, Ordering::Relaxed);
+    bump(|s| {
+        s.nodes_copied += nodes;
+        s.bytes_copied += bytes;
+    });
 }
 
 /// Record an avoided copy: a handle was shared instead of deep-copying
 /// `nodes` nodes / `bytes` heap bytes.
 pub(crate) fn record_share(nodes: u64, bytes: u64) {
-    NODES_SHARED.fetch_add(nodes, Ordering::Relaxed);
-    BYTES_SHARED.fetch_add(bytes, Ordering::Relaxed);
+    bump(|s| {
+        s.nodes_shared += nodes;
+        s.bytes_shared += bytes;
+    });
 }
 
 /// Record one copy-on-write materialization (a shared arena was cloned
 /// because a mutation needed exclusive ownership).
 pub(crate) fn record_cow() {
-    COW_MATERIALIZATIONS.fetch_add(1, Ordering::Relaxed);
+    bump(|s| s.cow_materializations += 1);
 }
 
 /// Record one O(1) subtree handle share ([`crate::tree::Tree::share`] /
@@ -47,10 +60,10 @@ pub(crate) fn record_cow() {
 /// byte size is not known in O(1), and the whole arena's bytes are already
 /// credited at handle-clone time.
 pub(crate) fn record_handle_share() {
-    HANDLE_SHARES.fetch_add(1, Ordering::Relaxed);
+    bump(|s| s.handle_shares += 1);
 }
 
-/// A point-in-time snapshot of the process-wide copy/share counters.
+/// A point-in-time snapshot of the calling thread's copy/share counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CopyStats {
     /// Heap bytes materialized by deep copies (deep-copy, graft, and
@@ -69,20 +82,21 @@ pub struct CopyStats {
 }
 
 impl CopyStats {
-    /// Read the current counter values.
+    const ZERO: CopyStats = CopyStats {
+        bytes_copied: 0,
+        nodes_copied: 0,
+        bytes_shared: 0,
+        nodes_shared: 0,
+        cow_materializations: 0,
+        handle_shares: 0,
+    };
+
+    /// Read the calling thread's current counter values.
     pub fn snapshot() -> Self {
-        CopyStats {
-            bytes_copied: BYTES_COPIED.load(Ordering::Relaxed),
-            nodes_copied: NODES_COPIED.load(Ordering::Relaxed),
-            bytes_shared: BYTES_SHARED.load(Ordering::Relaxed),
-            nodes_shared: NODES_SHARED.load(Ordering::Relaxed),
-            cow_materializations: COW_MATERIALIZATIONS.load(Ordering::Relaxed),
-            handle_shares: HANDLE_SHARES.load(Ordering::Relaxed),
-        }
+        COUNTERS.with(Cell::get)
     }
 
-    /// Counter growth since an earlier snapshot (saturating, so a
-    /// concurrent `reset` cannot underflow).
+    /// Counter growth since an earlier snapshot of the same thread.
     pub fn delta_since(&self, earlier: &CopyStats) -> CopyStats {
         CopyStats {
             bytes_copied: self.bytes_copied.saturating_sub(earlier.bytes_copied),
@@ -96,14 +110,17 @@ impl CopyStats {
         }
     }
 
-    /// Zero all counters (single-threaded harnesses only).
-    pub fn reset() {
-        BYTES_COPIED.store(0, Ordering::Relaxed);
-        NODES_COPIED.store(0, Ordering::Relaxed);
-        BYTES_SHARED.store(0, Ordering::Relaxed);
-        NODES_SHARED.store(0, Ordering::Relaxed);
-        COW_MATERIALIZATIONS.store(0, Ordering::Relaxed);
-        HANDLE_SHARES.store(0, Ordering::Relaxed);
+    /// Credit a delta measured on another thread (a worker that ran part
+    /// of this thread's run) to the calling thread's counters.
+    pub fn absorb(delta: &CopyStats) {
+        bump(|s| {
+            s.bytes_copied += delta.bytes_copied;
+            s.nodes_copied += delta.nodes_copied;
+            s.bytes_shared += delta.bytes_shared;
+            s.nodes_shared += delta.nodes_shared;
+            s.cow_materializations += delta.cow_materializations;
+            s.handle_shares += delta.handle_shares;
+        });
     }
 }
 
@@ -125,5 +142,25 @@ mod tests {
         assert_eq!(d.bytes_shared, 400);
         assert_eq!(d.cow_materializations, 1);
         assert_eq!(d.handle_shares, 1);
+    }
+
+    #[test]
+    fn counters_are_per_thread_and_absorbable() {
+        let before = CopyStats::snapshot();
+        let worker = std::thread::spawn(|| {
+            let w0 = CopyStats::snapshot();
+            record_copy(2, 50);
+            CopyStats::snapshot().delta_since(&w0)
+        })
+        .join()
+        .unwrap();
+        assert_eq!(
+            CopyStats::snapshot(),
+            before,
+            "another thread's copy leaked in"
+        );
+        CopyStats::absorb(&worker);
+        let d = CopyStats::snapshot().delta_since(&before);
+        assert_eq!((d.nodes_copied, d.bytes_copied), (2, 50));
     }
 }

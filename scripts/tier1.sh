@@ -103,4 +103,16 @@ grep -q "rss-budget-ok" "$TRACE_TMP/e14.out"
 test "$(grep -c "seq/\|par/" "$TRACE_TMP/e14.out")" -eq 4
 test "$(awk '/seq\/|par\//{print $NF}' "$TRACE_TMP/e14.out" | sort -u | wc -l)" -eq 1
 
+echo "== tier-1: benchmark correctness smoke (every perfbench workload, 1 s each) =="
+# perfbench checks its own answers outside the timed window and exits
+# non-zero on any failure: every edos_poll answer must equal the
+# installed data; feed_mix must deliver exactly one result per matching
+# subscription; on plan_select the optimized plan must return the naive
+# plan's answer without shipping more bytes; every run report must
+# reconcile. The hard timeout keeps a wedged workload from hanging the
+# gate.
+timeout 600 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seed 1 --seconds 1 --trace 0 > "$TRACE_TMP/perfbench.out"
+test "$(grep -c '^{"correct": true' "$TRACE_TMP/perfbench.out")" -eq 3
+
 echo "tier-1: all green"
