@@ -11,7 +11,7 @@
 //! cargo run --release -p axml-bench --bin zc-bench
 //! ```
 
-use axml_bench::experiments::e9_scalability::par_eval;
+use axml_bench::experiments::e9_scalability::fan_in;
 use axml_bench::workload::{catalog, selective_query};
 use axml_xml::stats::CopyStats;
 use axml_xml::tree::Tree;
@@ -87,13 +87,13 @@ fn main() {
     });
     println!("pattern match //pkg[size>...]  {pat:10.1} us");
 
-    // E9 8-way duplicate fan-in: both drivers, copy accounting around it.
+    // E9 8-way duplicate fan-in, copy accounting around it.
     let before = CopyStats::snapshot();
-    let m = par_eval(8, 1500);
+    let m = fan_in(8, 1500);
     let d = CopyStats::snapshot().delta_since(&before);
     println!(
-        "E9 fan-in (8x dup calls)       seq {:.1} ms / par {:.1} ms",
-        m.seq_wall_ms, m.par_wall_ms
+        "E9 fan-in (8x dup calls)       {:.1} ms, {} collapsed",
+        m.wall_ms, m.collapsed
     );
     println!(
         "  deep-copied: {} in {} nodes; shared (copy avoided): {} in {} nodes; cow: {}",

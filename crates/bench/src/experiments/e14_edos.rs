@@ -8,21 +8,20 @@
 //! background drop rate plus outage windows on the hottest route, with
 //! the standard retry policy and failover on.
 //!
-//! Every scale row runs the identical workload under all four
-//! `driver × scheduler` combinations — `Sequential`/`Parallel` engine
-//! drivers crossed with the `queue` (binary-heap) and `wheel`
-//! (hierarchical timing-wheel) event schedulers — and asserts the
-//! **transcript fingerprints are bit-identical**: per-poll serialized
-//! results (or typed errors) plus the final message/byte/drop/makespan
-//! counters, FNV-1a-hashed. This is the experiment-level face of the
-//! scheduler-equivalence contract in `axml_net::wheel` and of the
-//! engine's driver-equivalence guarantee.
+//! Every scale row runs the identical workload twice, each time on a
+//! freshly built network, and asserts the two **transcript
+//! fingerprints** — per-poll serialized results (or typed errors) plus
+//! the final message/byte/drop/makespan counters, FNV-1a-hashed — are
+//! bit-identical and equal to the fingerprint pinned for that scale
+//! ([`pinned_fingerprint`]).
 //!
-//! Memory discipline rides along: each row records the process peak RSS
-//! and interner pressure ([`axml_obs::MemStats`]) — the numbers the
-//! tier-1 smoke budget-checks — and the scheduler's saturation-audited
-//! `u64` ledger is attached to every row's report, where an
-//! unbalanced ledger flags the row unreconciled.
+//! Memory discipline rides along: each row records its own peak RSS
+//! (the process high-water mark is reset before the row's network is
+//! built, see [`MemStats::reset_peak`]) and interner pressure
+//! ([`axml_obs::MemStats`]) — the numbers the tier-1 smoke
+//! budget-checks — and the event queue's `u64` ledger is attached to
+//! every row's report, where an unbalanced ledger flags the row
+//! unreconciled.
 //!
 //! Scales: 10⁴ peers by default; `AXML_E14=full` adds the 10⁵-peer row;
 //! `AXML_E14=smoke` (set by `--smoke` on the `experiments` binary) runs
@@ -54,7 +53,21 @@ pub const SEED: u64 = 0xE14_5EED;
 /// through it immediately.
 pub const SMOKE_RSS_BUDGET_MB: f64 = 1536.0;
 
-/// One measured `driver × scheduler` cell.
+/// Runs per scale row, each on a freshly built network.
+pub const RUNS: [&str; 2] = ["run-1", "run-2"];
+
+/// The transcript fingerprint recorded for `n` peers and `polls` polls,
+/// when one is pinned.
+pub fn pinned_fingerprint(n: usize, polls: usize) -> Option<u64> {
+    match (n, polls) {
+        (512, 48) => Some(0xd035_8f1d_0b42_b0dc),
+        (10_000, POLLS) => Some(0xcab1_77d0_6a67_33e4),
+        (100_000, POLLS) => Some(0x1f00_406e_0768_a87e),
+        _ => None,
+    }
+}
+
+/// One measured run.
 struct Cell {
     label: &'static str,
     ok: usize,
@@ -82,18 +95,12 @@ fn client_count(n: usize) -> usize {
 /// home-mirror routes. Construction is O(n + k + c): the uniform
 /// topology is a rule, not a matrix, and only the home routes exist as
 /// explicit link overrides.
-fn build(
-    n: usize,
-    driver: DriverKind,
-    sched: SchedulerKind,
-) -> (AxmlSystem, Vec<PeerId>, Vec<PeerId>) {
+fn build(n: usize) -> (AxmlSystem, Vec<PeerId>, Vec<PeerId>) {
     let topo = Topology::Uniform {
         n,
         cost: LinkCost::wan(),
     };
     let mut sys = AxmlSystem::with_topology(&topo);
-    sys.set_driver(driver);
-    sys.set_scheduler(sched);
     sys.set_pick_policy(PickPolicy::Closest);
     sys.set_retry_policy(RetryPolicy::standard());
     sys.set_failover(true);
@@ -136,17 +143,12 @@ fn build(
     (sys, clients, mirrors)
 }
 
-/// Run one cell: the full Zipf poll schedule under one
-/// `driver × scheduler` combination, returning the transcript
-/// fingerprint and the row's observability.
-fn run_cell(
-    n: usize,
-    polls: usize,
-    driver: DriverKind,
-    sched: SchedulerKind,
-    label: &'static str,
-) -> Cell {
-    let (mut sys, clients, _mirrors) = build(n, driver, sched);
+/// Run one cell: the full Zipf poll schedule on a fresh network,
+/// returning the transcript fingerprint and the row's observability.
+fn run_cell(n: usize, polls: usize, label: &'static str) -> Cell {
+    // Each row reports its own peak, not the process's running maximum.
+    MemStats::reset_peak();
+    let (mut sys, clients, _mirrors) = build(n);
     let sink = LiveSink::new();
     sys.set_trace_sink(Box::new(sink.clone()));
     let zipf = Zipf::new(clients.len(), ZIPF_S);
@@ -229,22 +231,28 @@ fn run_cell(
     }
 }
 
-/// The four `driver × scheduler` combinations every scale row runs.
-fn combos() -> [(DriverKind, SchedulerKind, &'static str); 4] {
-    [
-        (DriverKind::Sequential, SchedulerKind::Queue, "seq/queue"),
-        (DriverKind::Sequential, SchedulerKind::Wheel, "seq/wheel"),
-        (
-            DriverKind::Parallel { threads: 0 },
-            SchedulerKind::Queue,
-            "par/queue",
-        ),
-        (
-            DriverKind::Parallel { threads: 0 },
-            SchedulerKind::Wheel,
-            "par/wheel",
-        ),
-    ]
+/// Run every [`RUNS`] cell at one scale and assert the fingerprints
+/// agree with each other and with the pinned value.
+fn run_scale(n: usize, polls: usize) -> Vec<Cell> {
+    let cells: Vec<Cell> = RUNS
+        .into_iter()
+        .map(|label| run_cell(n, polls, label))
+        .collect();
+    for cell in &cells {
+        assert_eq!(
+            cell.fingerprint, cells[0].fingerprint,
+            "E14 n={n}: {} fingerprint diverged from {}",
+            cell.label, cells[0].label
+        );
+    }
+    if let Some(pinned) = pinned_fingerprint(n, polls) {
+        assert_eq!(
+            cells[0].fingerprint, pinned,
+            "E14 n={n}: fingerprint {:016x} differs from the pinned {pinned:016x}",
+            cells[0].fingerprint
+        );
+    }
+    cells
 }
 
 /// Run E14.
@@ -256,10 +264,10 @@ pub fn run() -> Report {
     };
     let mut r = Report::new(
         "E14",
-        "EDOS-scale replica network: driver × scheduler determinism at 10⁴–10⁵ peers",
+        "EDOS-scale replica network: determinism at 10⁴–10⁵ peers",
         vec![
             "peers",
-            "combo",
+            "run",
             "ok",
             "drops",
             "retries",
@@ -276,17 +284,7 @@ pub fn run() -> Report {
     );
     let mut peak_mb = 0.0f64;
     for &n in &scales {
-        let cells: Vec<Cell> = combos()
-            .into_iter()
-            .map(|(driver, sched, label)| run_cell(n, POLLS, driver, sched, label))
-            .collect();
-        let reference = cells[0].fingerprint;
-        for cell in &cells {
-            assert_eq!(
-                cell.fingerprint, reference,
-                "E14 n={n}: {} fingerprint diverged from seq/queue",
-                cell.label
-            );
+        for cell in &run_scale(n, POLLS) {
             peak_mb = peak_mb.max(cell.mem.peak_rss_mb());
             let mut row = vec![
                 n.to_string(),
@@ -307,14 +305,12 @@ pub fn run() -> Report {
     // The representative run attached to the text report comes from a
     // miniature replica of the same structure — the full-scale reports
     // stay row-attached (JSON) where their per-peer sections belong.
-    let mini = run_cell(64, 32, DriverKind::Sequential, SchedulerKind::Wheel, "mini");
+    let mini = run_cell(64, 32, "mini");
     r.attach_run(mini.run);
-    r.note("all four driver × scheduler fingerprints are asserted bit-identical per scale row");
+    r.note("both runs of a scale row are asserted bit-identical to each other and to the pinned fingerprint");
     r.note("fingerprint = FNV-1a over per-poll serialized results/errors + final traffic counters + makespan bits");
     r.note("clients poll Zipf(s=1.1): 80% catalog@any fetches, 20% names@any service calls, churn on the hottest route");
-    r.note(
-        "peak MiB is process-wide and monotone across cells; the smoke gate budgets the maximum",
-    );
+    r.note("peak MiB is each row's own high-water mark (reset before the row's build); the smoke gate budgets the maximum");
     if mode == "smoke" {
         assert!(
             peak_mb < SMOKE_RSS_BUDGET_MB,
@@ -335,16 +331,8 @@ mod tests {
     /// default-scale sweep runs in the suite-wide smoke test).
     #[test]
     fn small_scale_cells_agree_and_reconcile() {
-        let cells: Vec<Cell> = combos()
-            .into_iter()
-            .map(|(driver, sched, label)| run_cell(512, 48, driver, sched, label))
-            .collect();
+        let cells = run_scale(512, 48);
         for cell in &cells {
-            assert_eq!(
-                cell.fingerprint, cells[0].fingerprint,
-                "{} diverged",
-                cell.label
-            );
             assert!(cell.run.reconciled, "{} must reconcile", cell.label);
             assert!(cell.ok > 0, "{} completed no polls", cell.label);
             assert!(
@@ -358,9 +346,6 @@ mod tests {
             );
             assert!(cell.live.total_messages() > 0);
         }
-        // The wheel cells actually ran on the wheel.
-        assert_eq!(cells[1].run.sched.as_ref().unwrap().backend, "wheel");
-        assert_eq!(cells[0].run.sched.as_ref().unwrap().backend, "queue");
         // Churn left marks: drops and failovers happened, yet the
         // transcripts still matched.
         assert!(cells[0].drops > 0, "drop rate must bite");

@@ -6,10 +6,9 @@
 //! 2. *Optimizer vs peer count*: the search space grows with candidate
 //!    relocation targets; measure explored candidates and search time as
 //!    peers are added.
-//! 3. *Parallel evaluation driver*: `n` identical service calls fan in
-//!    on one provider; the sequential reference evaluates the service
-//!    `n` times while the parallel driver collapses the duplicates onto
-//!    one evaluation — wall-clock speedup with bit-identical reports.
+//! 3. *Fan-in*: `n` identical service calls fan in on one provider;
+//!    request collapsing evaluates the service once and answers the
+//!    other `n − 1` calls from the session memo.
 
 use crate::report::{fmt_bytes, tail_cells, Report};
 use crate::workload::{catalog, naive_apply, selective_query};
@@ -24,38 +23,24 @@ pub const CLIENTS: &[usize] = &[2, 4, 8, 16, 32];
 /// Peer counts swept in the optimizer series.
 pub const PEERS: &[usize] = &[2, 4, 8, 16];
 
-/// Duplicate-call counts swept in the parallel-evaluation series.
+/// Duplicate-call counts swept in the fan-in series.
 pub const FANIN: &[usize] = &[2, 4, 8];
 
-/// One measured configuration of the parallel-evaluation series.
-pub struct ParEvalRun {
-    /// Wall-clock milliseconds under the sequential reference driver.
-    pub seq_wall_ms: f64,
-    /// Wall-clock milliseconds under `Parallel { threads: 4 }`.
-    pub par_wall_ms: f64,
-    /// The sequential run's report.
-    pub seq_report: RunReport,
-    /// The parallel run's report — must serialize identically to
-    /// `seq_report`.
-    pub par_report: RunReport,
-    /// Network bytes (identical across drivers by construction).
-    pub bytes: u64,
-    /// Network messages.
-    pub msgs: u64,
-    /// Virtual-clock makespan (ms).
-    pub makespan: f64,
-    /// Trace events from the sequential run (the drivers' reports are
-    /// bit-identical, so one stream stands for both).
+/// One measured configuration of the fan-in series.
+pub struct FanInRun {
+    /// Wall-clock milliseconds of the evaluation.
+    pub wall_ms: f64,
+    /// Calls answered by request collapsing.
+    pub collapsed: u64,
+    /// The run's report.
+    pub report: RunReport,
+    /// Trace events of the run.
     pub events: Vec<TraceEvent>,
 }
 
 /// Build the fan-in system (coordinator + provider, WAN) and run the
-/// `n`-duplicate batch under `driver`, timing the evaluation.
-fn par_eval_once(
-    n: usize,
-    catalog_size: usize,
-    driver: DriverKind,
-) -> (f64, RunReport, u64, u64, f64, Vec<TraceEvent>) {
+/// `n`-duplicate batch, timing the evaluation.
+pub fn fan_in(n: usize, catalog_size: usize) -> FanInRun {
     let mut sys = AxmlSystem::builder()
         .peers(["coord", "provider"])
         .link("coord", "provider", LinkCost::wan())
@@ -66,17 +51,11 @@ fn par_eval_once(
             r#"for $p in doc("catalog")//pkg where $p/size/text() > 100000 return {$p/@name}"#,
         )
         .seed(0xE9)
-        .driver(driver)
         .build()
         .unwrap();
     let coord = sys.peer_id("coord").unwrap();
-    // Trace only the sequential run: VecSink is single-threaded, and the
-    // drivers' reports are asserted bit-identical anyway.
     let sink = VecSink::new();
-    let traced = matches!(driver, DriverKind::Sequential);
-    if traced {
-        sys.set_trace_sink(Box::new(sink.clone()));
-    }
+    sys.set_trace_sink(Box::new(sink.clone()));
     let mut batch = String::from("<batch>");
     for _ in 0..n {
         batch.push_str("<sc><peer>p1</peer><service>scan</service></sc>");
@@ -89,35 +68,12 @@ fn par_eval_once(
     let t0 = Instant::now();
     sys.eval(coord, &e).unwrap();
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    if traced {
-        sys.flush_trace().unwrap();
-    }
-    let report = sys.run_report(format!("E9 par-eval ({n} duplicate calls)"));
-    (
+    sys.flush_trace().unwrap();
+    FanInRun {
         wall_ms,
-        report,
-        sys.stats().total_bytes(),
-        sys.stats().total_messages(),
-        sys.stats().makespan_ms(),
-        sink.take(),
-    )
-}
-
-/// Measure one fan-in configuration under both drivers.
-pub fn par_eval(n: usize, catalog_size: usize) -> ParEvalRun {
-    let (seq_wall_ms, seq_report, bytes, msgs, makespan, events) =
-        par_eval_once(n, catalog_size, DriverKind::Sequential);
-    let (par_wall_ms, par_report, ..) =
-        par_eval_once(n, catalog_size, DriverKind::Parallel { threads: 4 });
-    ParEvalRun {
-        seq_wall_ms,
-        par_wall_ms,
-        seq_report,
-        par_report,
-        bytes,
-        msgs,
-        makespan,
-        events,
+        collapsed: sys.collapsed_calls(),
+        report: sys.run_report(format!("E9 fan-in ({n} duplicate calls)")),
+        events: sink.take(),
     }
 }
 
@@ -135,9 +91,8 @@ pub fn run() -> Report {
             "serial ms",
             "explored",
             "search ms",
-            "seq wall ms",
-            "par4 wall ms",
-            "speedup",
+            "wall ms",
+            "collapsed",
             "p50 ms",
             "p95 ms",
             "p99 ms",
@@ -220,7 +175,6 @@ pub fn run() -> Report {
             "-".into(),
             "-".into(),
             "-".into(),
-            "-".into(),
         ];
         cells.extend(tail_cells(&live));
         r.row_with_run(cells, run);
@@ -265,42 +219,32 @@ pub fn run() -> Report {
                 "-".into(),
                 "-".into(),
                 "-".into(),
-                "-".into(),
             ],
             run,
         );
     }
-    // --- series 3: sequential vs parallel evaluation driver -----------------
+    // --- series 3: duplicate fan-in, collapsed in the engine loop --------
     for &n in FANIN {
         let copy0 = axml_xml::stats::CopyStats::snapshot();
-        let m = par_eval(n, 1500);
-        assert_eq!(
-            m.seq_report.to_json(),
-            m.par_report.to_json(),
-            "par-eval n={n}: drivers must produce identical reports"
-        );
-        // Attach the copy delta only after the drivers' reports have been
-        // compared bit-for-bit (the delta spans both runs).
+        let m = fan_in(n, 1500);
         let run = m
-            .par_report
+            .report
             .with_copy(axml_xml::stats::CopyStats::snapshot().delta_since(&copy0));
         let mut live = LiveStats::new();
         for e in &m.events {
             live.fold(e);
         }
-        let speedup = m.seq_wall_ms / m.par_wall_ms.max(1e-9);
         let mut cells = vec![
-            "par-eval".into(),
+            "fan-in".into(),
             n.to_string(),
-            fmt_bytes(m.bytes),
-            m.msgs.to_string(),
-            format!("{:.1}", m.makespan),
+            fmt_bytes(run.stats.total_bytes()),
+            run.stats.total_messages().to_string(),
+            format!("{:.1}", run.stats.makespan_ms()),
             "-".into(),
             "-".into(),
             "-".into(),
-            format!("{:.1}", m.seq_wall_ms),
-            format!("{:.1}", m.par_wall_ms),
-            format!("{speedup:.1}x"),
+            format!("{:.1}", m.wall_ms),
+            m.collapsed.to_string(),
         ];
         cells.extend(tail_cells(&live));
         r.row_with_run(cells, run);
@@ -308,7 +252,7 @@ pub fn run() -> Report {
     r.note("fan-out: one published item costs exactly n deliveries (delta semantics)");
     r.note("fan-out makespan: deliveries overlap — critical path, not the serial byte sum");
     r.note("optimizer: candidates grow with relocation targets; memoization bounds the blow-up");
-    r.note("par-eval: n duplicate calls collapse onto one evaluation; reports stay bit-identical");
+    r.note("fan-in: n duplicate calls collapse onto one evaluation (n − 1 answered from the session memo)");
     r.note(
         "tail columns: per-message latency quantiles + goodput folded live from the trace stream",
     );
@@ -318,20 +262,22 @@ pub fn run() -> Report {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn par_eval_reports_match_and_duplicates_collapse() {
+    fn duplicate_fanin_collapses_and_shares() {
+        for n in [1, 2, 8] {
+            let m = super::fan_in(n, 400);
+            assert_eq!(
+                m.collapsed,
+                n as u64 - 1,
+                "{n} duplicate calls must run the service once"
+            );
+        }
         let before = axml_xml::stats::CopyStats::snapshot();
-        let m = super::par_eval(8, 400);
+        super::fan_in(8, 400);
         let d = axml_xml::stats::CopyStats::snapshot().delta_since(&before);
-        assert_eq!(
-            m.seq_report.to_json(),
-            m.par_report.to_json(),
-            "drivers diverged"
-        );
         // Deep-clone regression gate. Remaining copies are the required
-        // result materializations in the output trees (~45 KB here plus
-        // one COW of the small batch tree per driver); the pre-redesign
-        // clone tax (whole-catalog deep clones, ~35 KB per clone at this
-        // size) must stay gone, and sharing must be doing real work.
+        // result materializations in the output trees plus a COW of the
+        // small batch tree; the pre-redesign clone tax (whole-catalog
+        // deep clones, ~35 KB per clone at this size) must stay gone.
         assert!(
             d.bytes_copied <= 60_000,
             "fan-in deep-copies too much (clone tax is back?): copied {} bytes",
@@ -340,15 +286,6 @@ mod tests {
         // Sharing must be doing real work (the provider's catalog arena
         // moves as a handle, never as a deep clone).
         assert!(d.bytes_shared > 0, "fan-in moved nothing by handle: {d:?}");
-        // 8 duplicate evaluations collapse to 1 under the parallel
-        // driver; even on one core the wall clock must reflect it.
-        let speedup = m.seq_wall_ms / m.par_wall_ms.max(1e-9);
-        assert!(
-            speedup > 1.2,
-            "expected collapsing to win clearly: seq {:.2} ms vs par {:.2} ms ({speedup:.2}x)",
-            m.seq_wall_ms,
-            m.par_wall_ms
-        );
     }
 
     #[test]

@@ -1,34 +1,51 @@
-//! Driver equivalence: the parallel evaluation driver must be
-//! *bit-for-bit* indistinguishable from the sequential reference —
-//! identical result trees, identical final state Σ, identical
-//! `NetStats` and `RunReport` — over a matrix of workloads shaped
-//! after the experiment suite (E1–E11): remote query application,
-//! optimized plans, delegation chains, service calls with parameters
-//! and forward lists, deployment, generic references, subscription
-//! fan-out and duplicate-heavy fan-in — plus faulted rows (E12-style):
-//! seeded drops, outage windows, retries and replica failover must play
-//! out identically under both drivers.
+//! Engine identity: the one engine loop must keep producing exactly the
+//! answers, final state and reports it produced when these digests were
+//! recorded, over a matrix of workloads shaped after the experiment
+//! suite (E1–E11): remote query application, optimized plans,
+//! delegation chains, service calls with parameters and forward lists,
+//! deployment, generic references, subscription fan-out and
+//! duplicate-heavy fan-in — plus faulted rows (E12-style): seeded
+//! drops, outage windows, retries and replica failover.
 //!
-//! Every workload builds its system twice from the same seed, runs it
-//! once under each driver and compares a composite fingerprint:
-//! serialized evaluation output + `{:?}` of the Σ snapshot + the
-//! `RunReport` JSON (which embeds metrics, per-peer traffic and the
-//! reconciliation flag).
+//! Every workload is summarized as one line: FNV-1a digests (plus
+//! lengths) of the serialized evaluation output, the `{:?}` of the Σ
+//! snapshot and the `RunReport` JSON without its `sched` object, then
+//! the scheduler ledger's `scheduled/delivered/cleared/pending/peak`
+//! counters. The expected lines were recorded before request collapsing
+//! became part of every session, so they also prove that collapsing
+//! changes nothing observable.
 
 use axml_bench::workload::{catalog, naive_apply, selective_query, two_peer};
 use axml_core::cost::CostModel;
 use axml_core::prelude::*;
+use axml_net::frame::fnv1a64;
 use axml_xml::tree::Tree;
 
-/// One workload: builds a system, runs it under the given driver, and
-/// returns the full observable fingerprint for comparison.
-type Workload = fn(DriverKind) -> String;
+/// One workload: builds a system, runs it, and returns its digest line
+/// (see [`seal`]).
+type Workload = fn() -> String;
 
+fn fnv(s: &str) -> String {
+    format!("{:016x}/{}", fnv1a64(s.as_bytes()), s.len())
+}
+
+/// Digest one finished run: the evaluation output, the Σ snapshot and
+/// the `RunReport` JSON with its `sched` object left out, each as an
+/// FNV-1a digest plus length, and the scheduler ledger's counters in
+/// the clear.
 fn seal(sys: AxmlSystem, out: String) -> String {
+    let mut report = sys.run_report("equivalence");
+    let s = report.sched.take().expect("run_report attaches the ledger");
     format!(
-        "out={out}\nsigma={:?}\nreport={}",
-        sys.snapshot(),
-        sys.run_report("equivalence").to_json()
+        "out={} sigma={} report={} sched={}/{}/{}/{}/{}",
+        fnv(&out),
+        fnv(&format!("{:?}", sys.snapshot())),
+        fnv(&report.to_json()),
+        s.scheduled,
+        s.delivered,
+        s.cleared,
+        s.pending,
+        s.peak_pending,
     )
 }
 
@@ -37,18 +54,16 @@ fn forest(trees: &[Tree]) -> String {
 }
 
 /// E1: naive remote query application `q(catalog@server)`.
-fn w_apply_naive(d: DriverKind) -> String {
+fn w_apply_naive() -> String {
     let (mut sys, client, server) = two_peer(catalog(60, 0.1, 0xD1));
-    sys.set_driver(d);
     let e = naive_apply(selective_query(), client, server);
     let out = forest(&sys.eval(client, &e).unwrap());
     seal(sys, out)
 }
 
 /// E2: the same request, but through the cost-based optimizer.
-fn w_apply_optimized(d: DriverKind) -> String {
+fn w_apply_optimized() -> String {
     let (mut sys, client, server) = two_peer(catalog(60, 0.1, 0xD2));
-    sys.set_driver(d);
     let naive = naive_apply(selective_query(), client, server);
     let model = CostModel::from_system(&sys);
     let plan = Optimizer::standard().optimize_with(&model, client, &naive, sys.obs_mut());
@@ -58,7 +73,7 @@ fn w_apply_optimized(d: DriverKind) -> String {
 
 /// E3: a delegation chain — evaluate at the gateway an evaluation at
 /// the origin (nested `EvalAt`), the result relayed back hop by hop.
-fn w_evalat_chain(d: DriverKind) -> String {
+fn w_evalat_chain() -> String {
     let mut sys = AxmlSystem::builder()
         .peers(["edge", "gateway", "origin"])
         .link("edge", "gateway", LinkCost::wan())
@@ -66,7 +81,6 @@ fn w_evalat_chain(d: DriverKind) -> String {
         .doc("origin", "catalog", catalog(40, 0.2, 0xD3))
         .build()
         .unwrap();
-    sys.set_driver(d);
     let edge = sys.peer_id("edge").unwrap();
     let gw = sys.peer_id("gateway").unwrap();
     let origin = sys.peer_id("origin").unwrap();
@@ -83,7 +97,7 @@ fn w_evalat_chain(d: DriverKind) -> String {
 
 /// E6-style: a service call with a computed parameter and a forward
 /// list shipping the results to a third peer's log document.
-fn w_sc_param_forward(d: DriverKind) -> String {
+fn w_sc_param_forward() -> String {
     let mut sys = AxmlSystem::builder()
         .peers(["caller", "provider", "archive"])
         .link("caller", "provider", LinkCost::wan())
@@ -98,7 +112,6 @@ fn w_sc_param_forward(d: DriverKind) -> String {
         )
         .build()
         .unwrap();
-    sys.set_driver(d);
     let caller = sys.peer_id("caller").unwrap();
     let provider = sys.peer_id("provider").unwrap();
     let archive = sys.peer_id("archive").unwrap();
@@ -124,9 +137,8 @@ fn w_sc_param_forward(d: DriverKind) -> String {
 
 /// E8-style: deploy a query as a service on a remote peer, then call
 /// it — a `Seq` plan mixing code shipping and invocation.
-fn w_deploy_then_call(d: DriverKind) -> String {
+fn w_deploy_then_call() -> String {
     let (mut sys, client, server) = two_peer(catalog(25, 0.4, 0xD5));
-    sys.set_driver(d);
     let q = selective_query();
     let e = Expr::Seq(vec![
         Expr::Deploy {
@@ -150,9 +162,8 @@ fn w_deploy_then_call(d: DriverKind) -> String {
 
 /// Definition (3): install the evaluation result as a new document on
 /// another peer (`send(d@p2, e)`).
-fn w_send_newdoc(d: DriverKind) -> String {
+fn w_send_newdoc() -> String {
     let (mut sys, client, server) = two_peer(catalog(20, 0.5, 0xD6));
-    sys.set_driver(d);
     let e = Expr::Send {
         dest: SendDest::NewDoc {
             peer: client,
@@ -169,14 +180,13 @@ fn w_send_newdoc(d: DriverKind) -> String {
 
 /// E5/E10-style: a generic reference resolved against replicas on
 /// several mirrors (the pick happens inside the session).
-fn w_pick_any(d: DriverKind) -> String {
+fn w_pick_any() -> String {
     let mut sys = AxmlSystem::builder()
         .peers(["client", "near", "far"])
         .link("client", "near", LinkCost::lan())
         .link("client", "far", LinkCost::slow())
         .build()
         .unwrap();
-    sys.set_driver(d);
     let client = sys.peer_id("client").unwrap();
     let near = sys.peer_id("near").unwrap();
     let far = sys.peer_id("far").unwrap();
@@ -195,7 +205,7 @@ fn w_pick_any(d: DriverKind) -> String {
 /// E9 series 1: subscription fan-out — n clients activate an inbox
 /// `sc` against one provider, which then feeds two items. The n
 /// same-burst deliveries exercise the engine's tie-breaking PRNG.
-fn w_fanout_feed(d: DriverKind) -> String {
+fn w_fanout_feed() -> String {
     let n = 4;
     let mut builder = AxmlSystem::builder()
         .peer("provider")
@@ -217,7 +227,6 @@ fn w_fanout_feed(d: DriverKind) -> String {
             );
     }
     let mut sys = builder.seed(0xD8).build().unwrap();
-    sys.set_driver(d);
     let provider = sys.peer_id("provider").unwrap();
     for i in 0..n {
         let c = sys.peer_id(&format!("client-{i}")).unwrap();
@@ -233,10 +242,10 @@ fn w_fanout_feed(d: DriverKind) -> String {
 }
 
 /// E9 series 3 shape: duplicate-heavy fan-in — one tree fires many
-/// *identical* calls at one provider. Under the parallel driver these
-/// collapse onto one evaluation (request collapsing); the observable
-/// outcome must not change at all.
-fn w_fanin_collapse(d: DriverKind) -> String {
+/// *identical* calls at one provider. The engine collapses them onto
+/// one evaluation (request collapsing); the observable outcome must not
+/// change at all.
+fn w_fanin_collapse() -> String {
     let mut sys = AxmlSystem::builder()
         .peers(["coord", "provider"])
         .link("coord", "provider", LinkCost::wan())
@@ -249,7 +258,6 @@ fn w_fanin_collapse(d: DriverKind) -> String {
         .seed(0xD9)
         .build()
         .unwrap();
-    sys.set_driver(d);
     let coord = sys.peer_id("coord").unwrap();
     let mut batch = String::from("<batch>");
     for _ in 0..6 {
@@ -265,9 +273,8 @@ fn w_fanin_collapse(d: DriverKind) -> String {
 }
 
 /// A `Seq` plan mixing every shape above in one session.
-fn w_seq_mixed(d: DriverKind) -> String {
+fn w_seq_mixed() -> String {
     let (mut sys, client, server) = two_peer(catalog(30, 0.2, 0xDA));
-    sys.set_driver(d);
     let q = selective_query();
     let e = Expr::Seq(vec![
         Expr::Deploy {
@@ -294,13 +301,11 @@ fn w_seq_mixed(d: DriverKind) -> String {
 }
 
 /// Faulted E12-style: repeated remote fetches through a lossy link
-/// (10% seeded drops + jitter) with the standard retry policy. Both
-/// drivers must observe the *same* drops at the same attempts: same
-/// outcomes, same retry counters, same `NetStats` (the report JSON in
-/// the fingerprint embeds all three, drop maps included).
-fn w_faulted_fetch(d: DriverKind) -> String {
+/// (10% seeded drops + jitter) with the standard retry policy. The
+/// digest pins the outcomes, the retry counters and the `NetStats` (the
+/// report JSON embeds all three, drop maps included).
+fn w_faulted_fetch() -> String {
     let (mut sys, client, server) = two_peer(catalog(30, 0.2, 0xDB));
-    sys.set_driver(d);
     sys.set_retry_policy(RetryPolicy::standard());
     sys.net_mut()
         .set_fault_plan(FaultPlan::new(0xFA_117).drop_prob(0.10).jitter_ms(0.5));
@@ -319,16 +324,15 @@ fn w_faulted_fetch(d: DriverKind) -> String {
 
 /// Faulted generic references: `cat@any` over two mirrors while the
 /// route to the near one blinks through outage windows — failover
-/// re-picks the far mirror. The failover decisions (and their trace
-/// counters) must be identical under both drivers.
-fn w_faulted_failover(d: DriverKind) -> String {
+/// re-picks the far mirror. The digest pins the failover decisions and
+/// their counters.
+fn w_faulted_failover() -> String {
     let mut sys = AxmlSystem::builder()
         .peers(["client", "near", "far"])
         .link("client", "near", LinkCost::lan())
         .link("client", "far", LinkCost::wan())
         .build()
         .unwrap();
-    sys.set_driver(d);
     sys.set_retry_policy(RetryPolicy::standard());
     sys.set_failover(true);
     let client = sys.peer_id("client").unwrap();
@@ -372,29 +376,35 @@ const WORKLOADS: &[(&str, Workload)] = &[
     ("faulted-failover", w_faulted_failover),
 ];
 
-#[test]
-fn parallel_driver_matches_sequential_on_every_workload() {
-    for (name, w) in WORKLOADS {
-        let seq = w(DriverKind::Sequential);
-        let par = w(DriverKind::Parallel { threads: 4 });
-        assert_eq!(seq, par, "workload `{name}` diverged under Parallel{{4}}");
-    }
-}
+/// Recorded with the sequential driver, before request collapsing ran
+/// in every session.
+const EXPECTED: &[&str] = &[
+    "apply-naive: out=5e49341ca2c293a5/258 sigma=01b340e81687e170/16147 report=140626cab8f048a6/895 sched=2/2/0/0/1",
+    "apply-optimized: out=704a1b8ae02a6108/258 sigma=a2228010f7fceb8f/16156 report=cd37bbaa6b6be545/1157 sched=2/2/0/0/1",
+    "evalat-chain: out=cbf29ce484222325/0 sigma=ec06c9d1310397b7/10861 report=4dc74d8dc71eb7e0/905 sched=2/2/0/0/1",
+    "sc-param-forward: out=cbf29ce484222325/0 sigma=1131d54b0c0ea996/8911 report=58ce2a75caaab081/948 sched=2/2/0/0/1",
+    "deploy-then-call: out=ef931c94372bc5e2/430 sigma=aec43ae43899a0c7/6844 report=6293fcce4f07cffe/1078 sched=5/5/0/0/1",
+    "send-newdoc: out=cbf29ce484222325/0 sigma=9dc668e6cc128bab/10938 report=3ea568d5d82a1b10/895 sched=2/2/0/0/1",
+    "pick-any: out=70c9f3ac1d70f5d8/1619 sigma=32bc03836bf281ed/8246 report=e0f33c9fb527f879/913 sched=2/2/0/0/1",
+    "fanout-feed: out=d0a7e9f9aee8e40a/11 sigma=1155f21e1443ddac/2050 report=9a320b66c36ef094/1350 sched=12/12/0/0/4",
+    "fanin-collapse: out=54a78bc4db24877c/837 sigma=7e9b226ea4e0889a/13502 report=051aeb005a302cb7/894 sched=12/12/0/0/6",
+    "seq-mixed: out=cbf29ce484222325/0 sigma=fcd124e76fc5348f/8167 report=1524240ee745b04c/1098 sched=6/6/0/0/1",
+    "faulted-fetch: out=6fb7229a4effbbea/32500 sigma=8674eb3e4fb5eb4c/8152 report=8fa0a766db76d4a7/915 sched=20/20/0/0/1",
+    "faulted-failover: out=8f99acd863cc094a/16250 sigma=797c30b12a766aed/8244 report=acd73649a6a749f1/1091 sched=20/20/0/0/1",
+];
 
 #[test]
-fn thread_count_never_changes_the_answer() {
-    // 1 thread forces the all-inline skip path; 2 exercises an
-    // uneven worker split. Both must still match the reference.
-    for (name, w) in [WORKLOADS[1], WORKLOADS[7], WORKLOADS[8]] {
-        let seq = w(DriverKind::Sequential);
-        for threads in [1, 2] {
-            let par = w(DriverKind::Parallel { threads });
-            assert_eq!(
-                seq, par,
-                "workload `{name}` diverged at {threads} thread(s)"
-            );
-        }
-    }
+fn engine_output_is_pinned_on_every_workload() {
+    let rows: Vec<String> = WORKLOADS
+        .iter()
+        .map(|(name, w)| format!("{name}: {}", w()))
+        .collect();
+    assert_eq!(
+        rows,
+        EXPECTED,
+        "engine output changed:\n{}",
+        rows.join("\n")
+    );
 }
 
 #[test]
@@ -408,7 +418,6 @@ fn collapsing_actually_happens_on_duplicate_fanin() {
             "scan",
             r#"for $p in doc("catalog")//pkg where $p/size/text() > 100000 return {$p/@name}"#,
         )
-        .parallel(4)
         .build()
         .unwrap();
     let coord = sys.peer_id("coord").unwrap();
@@ -425,32 +434,9 @@ fn collapsing_actually_happens_on_duplicate_fanin() {
         },
     )
     .unwrap();
-    let stats = sys.parallel_stats();
-    assert!(
-        stats.dedup_hits + stats.cache_hits >= 5,
-        "6 identical calls should collapse to one evaluation: {stats:?}"
-    );
     assert_eq!(
-        stats.invalidated, 0,
-        "nothing mutated the provider: {stats:?}"
+        sys.collapsed_calls(),
+        5,
+        "6 identical calls must collapse onto one evaluation"
     );
-}
-
-/// Determinism stress: every workload, repeated, across thread counts.
-/// Slow by design — run with `cargo test -- --ignored`.
-#[test]
-#[ignore = "stress loop; run explicitly via tier1.sh"]
-fn determinism_stress_loop() {
-    for (name, w) in WORKLOADS {
-        let reference = w(DriverKind::Sequential);
-        for threads in [1, 2, 4] {
-            for rep in 0..3 {
-                let par = w(DriverKind::Parallel { threads });
-                assert_eq!(
-                    reference, par,
-                    "workload `{name}` rep {rep} diverged at {threads} thread(s)"
-                );
-            }
-        }
-    }
 }

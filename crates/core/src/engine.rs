@@ -21,9 +21,11 @@
 //!   queue, waiting continuations, one mailbox per peer, and a seeded
 //!   PRNG used only to break ties between messages arriving at the
 //!   exact same instant (determinism: no wall clock, no global RNG).
-//! * `AxmlSystem::run_session` — the driver loop: drain ready tasks,
+//! * `AxmlSystem::run_session` — the engine loop: drain ready tasks,
 //!   then deliver the earliest batch of in-flight messages to the
-//!   peers' mailboxes, repeat until quiescent.
+//!   peers' mailboxes, repeat until quiescent. Within a session,
+//!   identical service calls against an unchanged provider collapse
+//!   onto one evaluation (request collapsing).
 //!
 //! Every definition keeps its observable semantics from the sequential
 //! evaluator: the same messages with the same charged bytes on the same
@@ -31,9 +33,6 @@
 //! Sequential chains (request → response) even keep identical timing;
 //! only independent transfers finish earlier.
 
-use crate::driver::{
-    precompute, DriverKind, Job, ParallelDriver, Precomp, SequentialDriver, SessionDriver,
-};
 use crate::error::{CoreError, CoreResult, EngineError};
 use crate::expr::{Expr, PeerRef, SendDest};
 use crate::message::AxmlMessage;
@@ -235,11 +234,11 @@ impl Cont {
 }
 
 /// A message popped off the network, parked in its receiver's mailbox.
-pub(crate) struct Delivery {
-    pub(crate) from: PeerId,
-    pub(crate) to: PeerId,
-    pub(crate) wire: Wire,
-    pub(crate) at: f64,
+struct Delivery {
+    from: PeerId,
+    to: PeerId,
+    wire: Wire,
+    at: f64,
 }
 
 /// One service activation as handed to `start_service_call`: who calls
@@ -255,27 +254,25 @@ struct ScCall<'a> {
 /// One evaluation session: everything the engine needs besides Σ.
 ///
 /// Sessions are pure data — all logic lives in `AxmlSystem` methods so
-/// the driver can borrow peers, network and observability freely.
+/// the engine loop can borrow peers, network and observability freely.
 pub(crate) struct EvalSession {
     slots: Vec<Slot>,
-    pub(crate) ready: VecDeque<Runnable>,
+    ready: VecDeque<Runnable>,
     waiting: Vec<Pending>,
     /// Per-peer arrival mailboxes, keyed by peer index. Sparse — only
     /// peers that actually receive something get an entry, so a session
     /// over 10⁵ peers costs O(touched peers), and the ascending key
     /// iteration reproduces the dense `0..n` drain order bit-exactly.
-    pub(crate) mailboxes: std::collections::BTreeMap<u32, VecDeque<Delivery>>,
+    mailboxes: std::collections::BTreeMap<u32, VecDeque<Delivery>>,
     rng: SplitMix64,
     /// Result trees delivered by arrival-side subscription pumps
     /// (replica maintenance accumulates its downstream count here).
     pub(crate) delivered: usize,
-    /// Whether this session collapses identical service calls (parallel
-    /// driver only — the sequential reference never caches).
-    collapse: bool,
-    /// Session-scoped service-result cache: `(provider, service,
-    /// canonical params) → result @ epoch`. Entries are only reused
-    /// while the provider's state epoch is unchanged, so a hit is
-    /// bit-identical to recomputing.
+    /// Request collapsing: a session-scoped memo of service results,
+    /// `(provider, service, canonical params) → result @ epoch`. Entries
+    /// are only reused while the provider's state epoch is unchanged,
+    /// and service bodies are pure in (parameters, provider state), so
+    /// a hit is bit-identical to recomputing.
     svc_cache: std::collections::HashMap<(PeerId, ServiceName, String), CachedCall>,
 }
 
@@ -287,7 +284,7 @@ struct CachedCall {
 }
 
 impl EvalSession {
-    fn new(seed: u64, collapse: bool) -> Self {
+    fn new(seed: u64) -> Self {
         EvalSession {
             slots: Vec::new(),
             ready: VecDeque::new(),
@@ -295,7 +292,6 @@ impl EvalSession {
             mailboxes: std::collections::BTreeMap::new(),
             rng: SplitMix64::new(seed),
             delivered: 0,
-            collapse,
             svc_cache: std::collections::HashMap::new(),
         }
     }
@@ -338,10 +334,7 @@ impl AxmlSystem {
     pub(crate) fn new_session(&mut self) -> EvalSession {
         let n = self.sessions;
         self.sessions += 1;
-        EvalSession::new(
-            self.engine_seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            matches!(self.driver, DriverKind::Parallel { .. }),
-        )
+        EvalSession::new(self.engine_seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
     /// Put a task on the ready queue (emitting [`TraceEvent::TaskScheduled`]).
@@ -364,10 +357,7 @@ impl AxmlSystem {
     /// way the trace sink is flushed (best effort) so file-backed sinks
     /// are durable up to every quiescence point.
     pub(crate) fn run_session(&mut self, s: &mut EvalSession) -> CoreResult<()> {
-        let r = match self.driver {
-            DriverKind::Sequential => SequentialDriver.drive(self, s),
-            DriverKind::Parallel { threads } => ParallelDriver { threads }.drive(self, s),
-        };
+        let r = self.drive(s);
         if r.is_err() {
             self.net.clear_in_flight();
         }
@@ -377,11 +367,12 @@ impl AxmlSystem {
         r
     }
 
-    /// The single-threaded reference loop (see [`crate::driver`]).
-    pub(crate) fn run_session_sequential(&mut self, s: &mut EvalSession) -> CoreResult<()> {
+    /// The engine loop: drain ready tasks in FIFO order, then deliver
+    /// the next arrival batch mailbox by mailbox, until quiescent.
+    fn drive(&mut self, s: &mut EvalSession) -> CoreResult<()> {
         loop {
             while let Some(task) = s.ready.pop_front() {
-                self.run_task(s, task, None)?;
+                self.run_task(s, task)?;
             }
             if !self.next_arrival_batch(s) {
                 break;
@@ -392,75 +383,18 @@ impl AxmlSystem {
             // `0..n` per-peer scan.
             for (_, mut mb) in std::mem::take(&mut s.mailboxes) {
                 while let Some(d) = mb.pop_front() {
-                    self.deliver(s, d, None)?;
+                    self.deliver(s, d)?;
                 }
             }
         }
         self.check_quiescent(s)
-    }
-
-    /// The wave-based parallel driver (see [`crate::driver`] for the
-    /// precompute/commit split and the equivalence argument). Spawned
-    /// tasks land on `s.ready` *behind* the wave being committed, so
-    /// the global task order is exactly the sequential FIFO; deliveries
-    /// never push into mailboxes, so draining all mailboxes up front is
-    /// order-equivalent to the sequential per-peer drain.
-    pub(crate) fn run_session_parallel(
-        &mut self,
-        s: &mut EvalSession,
-        threads: usize,
-    ) -> CoreResult<()> {
-        loop {
-            while !s.ready.is_empty() {
-                let wave: Vec<Runnable> = s.ready.drain(..).collect();
-                let jobs: Vec<(usize, Job<'_>)> = wave
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, t)| Job::for_task(t).map(|j| (i, j)))
-                    .collect();
-                let (mut pre, wstats) =
-                    precompute(&self.peers, &self.state_epochs, jobs, wave.len(), threads);
-                self.note_wave(&wstats);
-                for (i, task) in wave.into_iter().enumerate() {
-                    let p = pre[i].take();
-                    self.run_task(s, task, p)?;
-                }
-            }
-            if !self.next_arrival_batch(s) {
-                break;
-            }
-            let mut wave: Vec<Delivery> = Vec::new();
-            for (_, mb) in std::mem::take(&mut s.mailboxes) {
-                wave.extend(mb);
-            }
-            let jobs: Vec<(usize, Job<'_>)> = wave
-                .iter()
-                .enumerate()
-                .filter_map(|(i, d)| Job::for_delivery(d).map(|j| (i, j)))
-                .collect();
-            let (mut pre, wstats) =
-                precompute(&self.peers, &self.state_epochs, jobs, wave.len(), threads);
-            self.note_wave(&wstats);
-            for (i, d) in wave.into_iter().enumerate() {
-                let p = pre[i].take();
-                self.deliver(s, d, p)?;
-            }
-        }
-        self.check_quiescent(s)
-    }
-
-    fn note_wave(&mut self, w: &crate::driver::WaveStats) {
-        self.par_stats.waves += 1;
-        self.par_stats.jobs += w.jobs;
-        self.par_stats.dedup_hits += w.dedup_hits;
     }
 
     /// Pop every message arriving at the earliest pending instant,
     /// shuffle the batch with the session PRNG (deterministic
     /// tie-breaking, not biased by send order) and enqueue each message
     /// into its receiver's mailbox. Returns `false` when nothing is in
-    /// flight. Both drivers share this — it is the *only* consumer of
-    /// the session PRNG, which keeps the stream identical across them.
+    /// flight. This is the *only* consumer of the session PRNG.
     fn next_arrival_batch(&mut self, s: &mut EvalSession) -> bool {
         if !self.net.has_pending() {
             return false;
@@ -492,24 +426,14 @@ impl AxmlSystem {
         Ok(())
     }
 
-    pub(crate) fn run_task(
-        &mut self,
-        s: &mut EvalSession,
-        task: Runnable,
-        pre: Option<Precomp>,
-    ) -> CoreResult<()> {
+    fn run_task(&mut self, s: &mut EvalSession, task: Runnable) -> CoreResult<()> {
         match task {
             Runnable::Eval { at, expr, out } => self.step_eval(s, at, expr, out),
-            Runnable::Resume { peer, cont, input } => self.resume(s, peer, cont, input, pre),
+            Runnable::Resume { peer, cont, input } => self.resume(s, peer, cont, input),
         }
     }
 
-    pub(crate) fn deliver(
-        &mut self,
-        s: &mut EvalSession,
-        d: Delivery,
-        pre: Option<Precomp>,
-    ) -> CoreResult<()> {
+    fn deliver(&mut self, s: &mut EvalSession, d: Delivery) -> CoreResult<()> {
         let Delivery { from, to, wire, at } = d;
         let kind = wire.msg.kind();
         let charged = self
@@ -523,7 +447,7 @@ impl AxmlSystem {
             bytes: charged,
             at_ms: at,
         });
-        self.apply_intent(s, to, wire.intent, pre)
+        self.apply_intent(s, to, wire.intent)
     }
 
     /// Send a message with its receiver-side intent. Local sends are
@@ -547,7 +471,7 @@ impl AxmlSystem {
         self.check_peer(from)?;
         self.check_peer(to)?;
         if from == to {
-            return self.apply_intent(s, to, intent, None);
+            return self.apply_intent(s, to, intent);
         }
         let kind = msg.kind();
         let charged = self.net.link(from, to).charged_bytes_u64(msg.wire_size());
@@ -621,8 +545,7 @@ impl AxmlSystem {
     /// The jittered backoff before 0-based retry `attempt` on the
     /// `from → to` link. The jitter stream is derived from the engine
     /// seed, the link, and the global retry counter — never from the
-    /// session PRNG — so it is identical across drivers and reproducible
-    /// from the seed.
+    /// session PRNG — so it is reproducible from the seed.
     fn retry_backoff_ms(&self, from: PeerId, to: PeerId, attempt: u32) -> f64 {
         let base = self.retry.backoff_ms(attempt);
         if self.retry.jitter <= 0.0 || base <= 0.0 {
@@ -638,13 +561,7 @@ impl AxmlSystem {
         base * (1.0 + self.retry.jitter * rng.next_f64())
     }
 
-    fn apply_intent(
-        &mut self,
-        s: &mut EvalSession,
-        to: PeerId,
-        intent: Intent,
-        pre: Option<Precomp>,
-    ) -> CoreResult<()> {
+    fn apply_intent(&mut self, s: &mut EvalSession, to: PeerId, intent: Intent) -> CoreResult<()> {
         match intent {
             Intent::None => Ok(()),
             Intent::Reply { forest, out } => {
@@ -728,7 +645,7 @@ impl AxmlSystem {
                 forward,
                 call_id,
                 out,
-            } => self.run_service_at(s, to, caller, &service, params, &forward, call_id, out, pre),
+            } => self.run_service_at(s, to, caller, &service, params, &forward, call_id, out),
             Intent::ReplicaFeed { doc, tree } => {
                 let n = self.feed_into(s, to, &doc, tree)?;
                 s.delivered += n;
@@ -1074,14 +991,10 @@ impl AxmlSystem {
         peer: PeerId,
         cont: Cont,
         input: Vec<Vec<Tree>>,
-        mut pre: Option<Precomp>,
     ) -> CoreResult<()> {
         match cont {
             Cont::ApplyFinish { query, skip, out } => {
-                let res = match self.take_forest_precomp(peer, &mut pre) {
-                    Some(result) => result?,
-                    None => query.eval_with_docs(&input[skip..], &self.peers[peer.index()])?,
-                };
+                let res = query.eval_with_docs(&input[skip..], &self.peers[peer.index()])?;
                 self.fill(s, out, res)?;
                 Ok(())
             }
@@ -1105,7 +1018,7 @@ impl AxmlSystem {
                 self.record_def(3, peer, "send");
                 let forest = input.into_iter().next().unwrap_or_default();
                 if dest != peer {
-                    let payload = self.take_payload_precomp(&mut pre, &forest);
+                    let payload = Self::serialize_forest(&forest);
                     self.send_wire(
                         s,
                         peer,
@@ -1140,7 +1053,7 @@ impl AxmlSystem {
                 let forest = input.into_iter().next().unwrap_or_default();
                 if dest != peer {
                     let gate = s.new_slot(1);
-                    let payload = self.take_payload_precomp(&mut pre, &forest);
+                    let payload = Self::serialize_forest(&forest);
                     self.send_wire(
                         s,
                         peer,
@@ -1205,7 +1118,7 @@ impl AxmlSystem {
             } => {
                 let forest = input.into_iter().next().unwrap_or_default();
                 if reply_to != peer {
-                    let payload = self.take_payload_precomp(&mut pre, &forest);
+                    let payload = Self::serialize_forest(&forest);
                     self.send_wire(
                         s,
                         peer,
@@ -1544,59 +1457,15 @@ impl AxmlSystem {
                 forward,
                 call_id,
                 out,
-                None,
             )
-        }
-    }
-
-    /// A valid (same peer, same epoch) precomputed forest, or `None` to
-    /// compute inline. Stale precomps are counted and discarded.
-    fn take_forest_precomp(
-        &mut self,
-        peer: PeerId,
-        pre: &mut Option<Precomp>,
-    ) -> Option<CoreResult<Vec<Tree>>> {
-        match pre.take() {
-            Some(Precomp::Forest {
-                peer: p,
-                epoch,
-                result,
-            }) if p == peer && epoch == self.state_epochs[peer.index()] => {
-                self.par_stats.precomp_used += 1;
-                Some(result)
-            }
-            Some(_) => {
-                self.par_stats.invalidated += 1;
-                None
-            }
-            None => None,
-        }
-    }
-
-    /// A precomputed wire payload (pure in the forest, so never stale),
-    /// or serialize inline.
-    fn take_payload_precomp(&mut self, pre: &mut Option<Precomp>, forest: &[Tree]) -> String {
-        match pre.take() {
-            Some(Precomp::Payload(p)) => {
-                self.par_stats.precomp_used += 1;
-                p
-            }
-            other => {
-                if other.is_some() {
-                    self.par_stats.invalidated += 1;
-                }
-                Self::serialize_forest(forest)
-            }
         }
     }
 
     /// The provider-side evaluation of one service call: results plus
     /// (when the call must be answered over the wire) the serialized
-    /// response payload. Resolution order: a valid precomputed result
-    /// from the parallel driver's workers, then — in collapsing
-    /// sessions — the epoch-guarded session cache, then inline
-    /// evaluation. All three produce bit-identical values: service
-    /// bodies are pure in (parameters, provider state @ epoch).
+    /// response payload. An identical call earlier in the session, with
+    /// the provider's state epoch unchanged, is collapsed onto that
+    /// call's memoized result; anything else is evaluated and memoized.
     fn service_results(
         &mut self,
         s: &mut EvalSession,
@@ -1606,18 +1475,14 @@ impl AxmlSystem {
         need_payload: bool,
     ) -> CoreResult<(Vec<Tree>, Option<String>)> {
         let epoch = self.state_epochs[prov.index()];
-        let key = s
-            .collapse
-            .then(|| (prov, service.clone(), crate::driver::params_key(params)));
-        if let Some(k) = &key {
-            if let Some(hit) = s.svc_cache.get_mut(k) {
-                if hit.epoch == epoch {
-                    self.par_stats.cache_hits += 1;
-                    if need_payload && hit.payload.is_none() {
-                        hit.payload = Some(Self::serialize_forest(&hit.results));
-                    }
-                    return Ok((hit.results.clone(), hit.payload.clone()));
+        let key = (prov, service.clone(), params_key(params));
+        if let Some(hit) = s.svc_cache.get_mut(&key) {
+            if hit.epoch == epoch {
+                self.collapsed_calls += 1;
+                if need_payload && hit.payload.is_none() {
+                    hit.payload = Some(Self::serialize_forest(&hit.results));
                 }
+                return Ok((hit.results.clone(), hit.payload.clone()));
             }
         }
         let svc = self.peers[prov.index()].service(service, prov)?;
@@ -1630,16 +1495,14 @@ impl AxmlSystem {
         let query = svc.query.clone();
         let results = query.eval_with_docs(params, &self.peers[prov.index()])?;
         let payload = need_payload.then(|| Self::serialize_forest(&results));
-        if let Some(k) = key {
-            s.svc_cache.insert(
-                k,
-                CachedCall {
-                    epoch,
-                    results: results.clone(),
-                    payload: payload.clone(),
-                },
-            );
-        }
+        s.svc_cache.insert(
+            key,
+            CachedCall {
+                epoch,
+                results: results.clone(),
+                payload: payload.clone(),
+            },
+        );
         Ok((results, payload))
     }
 
@@ -1656,42 +1519,9 @@ impl AxmlSystem {
         forward: &[NodeAddr],
         call_id: u64,
         out: Out,
-        mut pre: Option<Precomp>,
     ) -> CoreResult<()> {
         let need_payload = forward.is_empty() && prov != caller;
-        let epoch = self.state_epochs[prov.index()];
-        let precomputed = match pre.take() {
-            Some(Precomp::Service {
-                peer,
-                epoch: e,
-                result,
-            }) if peer == prov && e == epoch => {
-                self.par_stats.precomp_used += 1;
-                let value = result?;
-                // Feed the session cache so later identical calls
-                // collapse onto this evaluation.
-                if s.collapse {
-                    s.svc_cache.insert(
-                        (prov, service.clone(), crate::driver::params_key(&params)),
-                        CachedCall {
-                            epoch,
-                            results: value.0.clone(),
-                            payload: value.1.clone(),
-                        },
-                    );
-                }
-                Some(value)
-            }
-            Some(_) => {
-                self.par_stats.invalidated += 1;
-                None
-            }
-            None => None,
-        };
-        let (results, payload) = match precomputed {
-            Some(v) => v,
-            None => self.service_results(s, prov, service, &params, need_payload)?,
-        };
+        let (results, payload) = self.service_results(s, prov, service, &params, need_payload)?;
         if forward.is_empty() {
             if prov != caller {
                 let payload = payload.unwrap_or_else(|| Self::serialize_forest(&results));
@@ -1833,8 +1663,6 @@ impl AxmlSystem {
     }
 }
 
-/// Re-pin the location of the outermost data reference to `loc` (used
-/// when the owner evaluates a fetched expression locally).
 /// Does this error mean "the picked provider cannot be reached" — the
 /// condition replica failover reacts to? Structural errors (unknown
 /// peer, missing doc, malformed expression) must *not* trigger a
@@ -1846,6 +1674,18 @@ fn unreachable_provider(e: &CoreError) -> bool {
     )
 }
 
+/// Canonical memo key for a parameter-forest list.
+fn params_key(params: &[Vec<Tree>]) -> String {
+    let mut key = String::new();
+    for p in params {
+        key.push_str(&AxmlSystem::serialize_forest(p));
+        key.push('\u{1f}');
+    }
+    key
+}
+
+/// Re-pin the location of the outermost data reference to `loc` (used
+/// when the owner evaluates a fetched expression locally).
 fn relocate(expr: &mut Expr, loc: PeerId) {
     match expr {
         Expr::Tree { at, .. } => *at = loc,

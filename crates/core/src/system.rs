@@ -9,7 +9,6 @@
 //! every cross-peer byte through the engine's wire path so the
 //! statistics measure real traffic.
 
-use crate::driver::{DriverKind, ParallelStats};
 use crate::engine::Wire;
 use crate::error::{CoreError, CoreResult};
 use crate::peer::{PeerSnapshot, PeerState};
@@ -19,7 +18,6 @@ use crate::service::Service;
 use axml_net::link::Topology;
 use axml_net::sim::Network;
 use axml_net::transport::Transport;
-use axml_net::wheel::SchedulerKind;
 use axml_net::NetStats;
 use axml_obs::{EvalMetrics, Obs, RunReport, TraceSink};
 use axml_query::Query;
@@ -43,9 +41,11 @@ pub struct AxmlSystem {
     pub(crate) obs: Obs,
     pub(crate) engine_seed: u64,
     pub(crate) sessions: u64,
-    pub(crate) driver: DriverKind,
+    /// Per-peer state epochs, bumped on every mutation of Σ|p; they
+    /// guard the engine's request-collapsing memo.
     pub(crate) state_epochs: Vec<u64>,
-    pub(crate) par_stats: ParallelStats,
+    /// Service calls answered from the request-collapsing memo.
+    pub(crate) collapsed_calls: u64,
     pub(crate) retry: RetryPolicy,
     pub(crate) failover: bool,
     /// Shared subscription-matching indexes, per (provider, document).
@@ -83,9 +83,8 @@ impl AxmlSystem {
             obs: Obs::new(),
             engine_seed: DEFAULT_ENGINE_SEED,
             sessions: 0,
-            driver: DriverKind::Sequential,
             state_epochs,
-            par_stats: ParallelStats::default(),
+            collapsed_calls: 0,
             retry: RetryPolicy::none(),
             failover: false,
             matcher: crate::continuous::MatcherRegistry::default(),
@@ -129,27 +128,17 @@ impl AxmlSystem {
         &mut self.peers[p.index()]
     }
 
-    /// Select the evaluation driver (see [`crate::driver`]). The default
-    /// is [`DriverKind::Sequential`], the reference implementation; the
-    /// parallel driver produces bit-identical results and reports.
-    pub fn set_driver(&mut self, driver: DriverKind) {
-        self.driver = driver;
-    }
-
-    /// The currently selected evaluation driver.
-    pub fn driver(&self) -> DriverKind {
-        self.driver
-    }
-
-    /// Cumulative parallel-driver counters (all zero while the
-    /// sequential driver is selected).
-    pub fn parallel_stats(&self) -> ParallelStats {
-        self.par_stats
+    /// Service calls the engine answered without re-running the service
+    /// (cumulative): within one evaluation session, a call identical to
+    /// an earlier one (same provider, service and parameter forests,
+    /// provider state unchanged) collapses onto the earlier result.
+    pub fn collapsed_calls(&self) -> u64 {
+        self.collapsed_calls
     }
 
     /// Record a mutation of `p`'s state Σ|p: bumps the peer's epoch so
-    /// speculative results computed against the old state are discarded
-    /// instead of committed (see [`crate::driver`]).
+    /// memoized service results computed against the old state are not
+    /// reused.
     pub(crate) fn touch_peer(&mut self, p: PeerId) {
         if let Some(e) = self.state_epochs.get_mut(p.index()) {
             *e += 1;
@@ -173,19 +162,6 @@ impl AxmlSystem {
         self.net.backend()
     }
 
-    /// Select the transport's event-scheduler backend (the reference
-    /// priority queue or the O(1)-advance event wheel). Delivery order
-    /// is bit-identical across backends, so results never depend on
-    /// this choice — only scheduler cost does.
-    pub fn set_scheduler(&mut self, kind: SchedulerKind) {
-        self.net.set_scheduler(kind);
-    }
-
-    /// The active event-scheduler backend.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.net.scheduler_kind()
-    }
-
     /// Set the engine's deterministic tie-breaking seed. Sessions derive
     /// their PRNG from this seed plus a session counter, so the same
     /// seed over the same workload reproduces traces byte-for-byte.
@@ -206,7 +182,7 @@ impl AxmlSystem {
     /// Set the engine's [`RetryPolicy`] for failed send attempts. The
     /// default is [`RetryPolicy::none`]: the first transient failure
     /// surfaces immediately as a typed error, the engine's historical
-    /// behavior. Both drivers honor the policy identically.
+    /// behavior.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.retry = policy;
     }
@@ -338,7 +314,7 @@ impl AxmlSystem {
     /// Snapshot metrics + network stats as a [`RunReport`]. The
     /// scheduler ledger is attached automatically: its push/pop/clear
     /// counters are a function of the message sequence alone, so they
-    /// stay byte-identical across drivers (memory snapshots, which are
+    /// stay byte-identical across reruns (memory snapshots, which are
     /// not, must be attached explicitly with `RunReport::with_mem`).
     pub fn run_report(&self, title: impl Into<String>) -> RunReport {
         RunReport::new(title, &self.obs.metrics, self.net.stats())

@@ -64,15 +64,13 @@ pub mod sim;
 pub mod socket;
 pub mod stats;
 pub mod transport;
-pub mod wheel;
 
 pub use error::{NetError, NetResult};
 pub use link::{LinkCost, Topology};
 pub use sim::{CrashSchedule, FaultPlan, Network, Outage, SimTransport};
 pub use socket::SocketTransport;
-pub use stats::{LinkStats, NetStats, PeerTraffic};
+pub use stats::{LinkStats, NetStats, PeerTraffic, SchedStats};
 pub use transport::{FramedPayload, Transport};
-pub use wheel::{EventWheel, SchedStats, Scheduler, SchedulerKind};
 
 /// Anything that can cross a link: reports its own wire size in bytes.
 pub trait Payload {

@@ -12,10 +12,9 @@
 //! memory: link costs resolve from an optional base [`Topology`] plus
 //! point overrides, and per-link busy/failed state exists only for
 //! links actually touched — O(peers + touched links), never O(peers²).
-//! The delivery queue itself is pluggable
-//! ([`SimTransport::set_scheduler`]): the reference binary heap or the
-//! O(1)-advance hierarchical event wheel of [`crate::wheel`], which
-//! deliver in **bit-identical** order.
+//! In-flight deliveries wait in a binary heap ordered by
+//! `(arrival time, send sequence)`, with push/pop/clear counters
+//! reported as [`SchedStats`].
 //!
 //! ```
 //! use axml_net::sim::SimTransport;
@@ -56,12 +55,12 @@
 
 use crate::error::{NetError, NetResult};
 use crate::link::{LinkCost, Topology};
-use crate::stats::NetStats;
-use crate::wheel::{SchedStats, Scheduler, SchedulerKind};
+use crate::stats::{NetStats, SchedStats};
 use crate::Payload;
 use axml_prng::SplitMix64;
 use axml_xml::ids::PeerId;
-use std::collections::{HashMap, HashSet};
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 /// A transient outage window: the **directed** link `from → to` is
 /// unusable while `start_ms <= now < end_ms` on the virtual clock.
@@ -128,8 +127,7 @@ impl CrashSchedule {
 /// Drop and jitter draws come from a PRNG seeded by
 /// `(seed, from, to, attempt#)`, where `attempt#` is a monotone
 /// per-network counter of faultable send attempts — two runs with the
-/// same seed and the same send sequence fault identically, on both
-/// evaluation drivers.
+/// same seed and the same send sequence fault identically.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
@@ -301,7 +299,10 @@ pub struct SimTransport<M> {
     /// only — map iteration order is never observed, so the map's
     /// nondeterministic ordering cannot leak into a run.
     busy_until: HashMap<(u32, u32), f64>,
-    sched: Scheduler<(PeerId, PeerId, M)>,
+    /// In-flight deliveries, earliest `(at, seq)` on top.
+    queue: BinaryHeap<InFlight<M>>,
+    /// Queue counters; `pending` is filled in at snapshot time.
+    sched: SchedStats,
     stats: NetStats,
     clock_ms: f64,
     seq: u64,
@@ -320,7 +321,8 @@ impl<M: Payload> SimTransport<M> {
             overrides: HashMap::new(),
             admin_down: HashSet::new(),
             busy_until: HashMap::new(),
-            sched: Scheduler::new(SchedulerKind::Queue),
+            queue: BinaryHeap::new(),
+            sched: SchedStats::default(),
             stats: NetStats::new(),
             clock_ms: 0.0,
             seq: 0,
@@ -573,24 +575,31 @@ impl<M: Payload> SimTransport<M> {
         };
         self.stats
             .record(from, to, cost.charged_bytes(size), transfer, at);
-        self.sched.push(at, self.seq, (from, to, msg));
+        self.queue.push(InFlight {
+            at,
+            seq: self.seq,
+            from,
+            to,
+            msg,
+        });
         self.seq += 1;
+        self.sched.scheduled += 1;
+        self.sched.peak_pending = self.sched.peak_pending.max(self.queue.len() as u64);
         at
     }
 
     /// Deliver the earliest pending message, advancing the clock to its
     /// arrival time. Returns `(recipient, message, arrival_ms)`.
     pub fn recv(&mut self) -> Option<(PeerId, M, f64)> {
-        let (at, _, (_, to, msg)) = self.sched.pop()?;
-        if at > self.clock_ms {
-            self.clock_ms = at;
-        }
-        Some((to, msg, at))
+        self.recv_from().map(|(_, to, msg, at)| (to, msg, at))
     }
 
     /// Deliver the earliest pending message together with its sender.
     pub fn recv_from(&mut self) -> Option<(PeerId, PeerId, M, f64)> {
-        let (at, _, (from, to, msg)) = self.sched.pop()?;
+        let InFlight {
+            at, from, to, msg, ..
+        } = self.queue.pop()?;
+        self.sched.delivered += 1;
         if at > self.clock_ms {
             self.clock_ms = at;
         }
@@ -599,7 +608,7 @@ impl<M: Payload> SimTransport<M> {
 
     /// Arrival time of the earliest pending delivery, if any.
     pub fn peek_arrival(&self) -> Option<f64> {
-        self.sched.peek_at()
+        self.queue.peek().map(|e| e.at)
     }
 
     /// Drop every in-flight message without delivering it. Statistics
@@ -607,38 +616,26 @@ impl<M: Payload> SimTransport<M> {
     /// abort path when an evaluation session fails mid-flight. The
     /// discarded events are counted in [`SchedStats::cleared`].
     pub fn clear_in_flight(&mut self) {
-        self.sched.clear();
+        self.sched.cleared += self.queue.len() as u64;
+        self.queue.clear();
     }
 
     /// Are deliveries pending?
     pub fn has_pending(&self) -> bool {
-        !self.sched.is_empty()
+        !self.queue.is_empty()
     }
 
     /// Number of queued deliveries.
     pub fn pending_len(&self) -> usize {
-        self.sched.len()
+        self.queue.len()
     }
 
-    /// The active event-scheduler backend.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.sched.kind()
-    }
-
-    /// Select the event-scheduler backend, migrating any pending
-    /// events and carrying the counters over. Delivery order is
-    /// bit-identical across backends, so this is safe mid-run.
-    pub fn set_scheduler(&mut self, kind: SchedulerKind) {
-        if self.sched.kind() == kind {
-            return;
-        }
-        let sched = std::mem::replace(&mut self.sched, Scheduler::new(kind));
-        self.sched = sched.convert(kind);
-    }
-
-    /// Event-scheduler counters (pushes, pops, clears, wheel cascades).
+    /// Event-queue counters (pushes, pops, clears, peak depth).
     pub fn sched_stats(&self) -> SchedStats {
-        self.sched.stats()
+        SchedStats {
+            pending: self.queue.len() as u64,
+            ..self.sched
+        }
     }
 
     /// Current simulated time in milliseconds.
@@ -660,6 +657,40 @@ impl<M: Payload> SimTransport<M> {
     /// Reset statistics (keeps peers, links, clock and queue).
     pub fn reset_stats(&mut self) {
         self.stats.reset();
+    }
+}
+
+/// One queued delivery. Ordered so that `BinaryHeap` (a max-heap) pops
+/// the earliest arrival first, ties broken by send order.
+struct InFlight<M> {
+    at: f64,
+    seq: u64,
+    from: PeerId,
+    to: PeerId,
+    msg: M,
+}
+
+impl<M> PartialEq for InFlight<M> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<M> Eq for InFlight<M> {}
+
+impl<M> PartialOrd for InFlight<M> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<M> Ord for InFlight<M> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .at
+            .partial_cmp(&self.at)
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| other.seq.cmp(&self.seq))
     }
 }
 
@@ -969,5 +1000,31 @@ mod tests {
         assert_eq!(net.pending_len(), 1);
         net.recv();
         assert!(!net.has_pending());
+    }
+
+    #[test]
+    fn queue_ledger_balances_across_pops_and_clears() {
+        let mut net: SimTransport<String> = SimTransport::new();
+        let a = net.add_peer("a");
+        let b = net.add_peer("b");
+        net.set_link(a, b, LinkCost::wan());
+        for m in ["x", "y", "z"] {
+            net.send(a, b, m.to_string());
+        }
+        net.recv();
+        net.clear_in_flight();
+        net.send(a, b, "w".to_string());
+        let s = net.sched_stats();
+        assert_eq!(
+            (
+                s.scheduled,
+                s.delivered,
+                s.cleared,
+                s.pending,
+                s.peak_pending
+            ),
+            (4, 1, 2, 1, 3)
+        );
+        assert!(s.consistent());
     }
 }

@@ -548,15 +548,7 @@ impl<M: Payload + FramedPayload> Transport<M> for SocketTransport<M> {
         self.sim.reset_stats()
     }
 
-    fn scheduler_kind(&self) -> crate::wheel::SchedulerKind {
-        self.sim.scheduler_kind()
-    }
-
-    fn set_scheduler(&mut self, kind: crate::wheel::SchedulerKind) {
-        self.sim.set_scheduler(kind)
-    }
-
-    fn sched_stats(&self) -> crate::wheel::SchedStats {
+    fn sched_stats(&self) -> crate::stats::SchedStats {
         self.sim.sched_stats()
     }
 }

@@ -26,6 +26,32 @@ pub struct PeerTraffic {
     pub recv_bytes: u64,
 }
 
+/// The simulator's event-queue ledger, all `u64`. At quiescence every
+/// scheduled event was either delivered or cleared: `scheduled ==
+/// delivered + cleared + pending` ([`SchedStats::consistent`]), an
+/// invariant folded into `RunReport`'s reconciliation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SchedStats {
+    /// Events pushed since construction.
+    pub scheduled: u64,
+    /// Events popped (delivered).
+    pub delivered: u64,
+    /// Events discarded by `clear_in_flight` (aborted sessions).
+    pub cleared: u64,
+    /// Events pending at snapshot time.
+    pub pending: u64,
+    /// High-water mark of pending events.
+    pub peak_pending: u64,
+}
+
+impl SchedStats {
+    /// Does the ledger balance? (`scheduled == delivered + cleared +
+    /// pending` — an accounting bug breaks this.)
+    pub fn consistent(&self) -> bool {
+        self.scheduled == self.delivered + self.cleared + self.pending
+    }
+}
+
 /// Aggregated statistics of a simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct NetStats {

@@ -39,8 +39,7 @@
 use crate::error::{NetError, NetResult};
 use crate::link::{LinkCost, Topology};
 use crate::sim::FaultPlan;
-use crate::stats::NetStats;
-use crate::wheel::{SchedStats, SchedulerKind};
+use crate::stats::{NetStats, SchedStats};
 use crate::Payload;
 use axml_xml::ids::PeerId;
 
@@ -159,21 +158,7 @@ pub trait Transport<M: Payload> {
 
     // ---- provided conveniences ------------------------------------
 
-    /// The active event-scheduler backend. Backends without a pluggable
-    /// scheduler report the reference [`SchedulerKind::Queue`].
-    fn scheduler_kind(&self) -> SchedulerKind {
-        SchedulerKind::Queue
-    }
-
-    /// Select the event-scheduler backend, migrating any pending
-    /// events. Delivery order is bit-identical across backends (the
-    /// equivalence contract of [`crate::wheel`]), so this is safe
-    /// mid-run. Backends without a pluggable scheduler ignore the call.
-    fn set_scheduler(&mut self, kind: SchedulerKind) {
-        let _ = kind;
-    }
-
-    /// Event-scheduler counters (zeros for backends without one).
+    /// Event-queue counters (zeros for backends without one).
     fn sched_stats(&self) -> SchedStats {
         SchedStats::default()
     }
@@ -310,14 +295,6 @@ impl<M: Payload> Transport<M> for crate::sim::SimTransport<M> {
 
     fn reset_stats(&mut self) {
         crate::sim::SimTransport::reset_stats(self)
-    }
-
-    fn scheduler_kind(&self) -> SchedulerKind {
-        crate::sim::SimTransport::scheduler_kind(self)
-    }
-
-    fn set_scheduler(&mut self, kind: SchedulerKind) {
-        crate::sim::SimTransport::set_scheduler(self, kind)
     }
 
     fn sched_stats(&self) -> SchedStats {

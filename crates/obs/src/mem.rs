@@ -10,9 +10,10 @@
 //! of hoping.
 //!
 //! Attach to a [`RunReport`](crate::report::RunReport) with
-//! `with_mem`; like `CopyStats`, the field is process-wide and
-//! monotone, so reports meant to be byte-compared across runs should
-//! either attach it on both sides or neither.
+//! `with_mem`; the field is process-wide and the peak is monotone until
+//! [`MemStats::reset_peak`] restarts it, so reports meant to be
+//! byte-compared across runs should either attach it on both sides or
+//! neither.
 
 /// A point-in-time memory snapshot: process RSS plus interner pressure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -39,6 +40,18 @@ impl MemStats {
             current_rss_bytes,
             interner_symbols,
             interner_bytes,
+        }
+    }
+
+    /// Restart the process's peak-RSS high-water mark (`VmHWM`) from the
+    /// current RSS, so the next [`MemStats::snapshot`] reports the peak
+    /// of what ran since. On Linux this writes `5` to
+    /// `/proc/self/clear_refs`; elsewhere, or if the write fails, it is
+    /// a no-op and the peak stays process-wide.
+    pub fn reset_peak() {
+        #[cfg(target_os = "linux")]
+        {
+            let _ = std::fs::write("/proc/self/clear_refs", "5");
         }
     }
 
@@ -112,20 +125,35 @@ mod tests {
         assert_eq!(parse_kb("garbage"), 0);
     }
 
+    /// One test for both directions of the high-water mark, so a reset
+    /// cannot race the growth check in a neighbouring test.
     #[test]
-    fn peak_rss_grows_with_allocation() {
+    fn peak_rss_grows_with_allocation_and_resets() {
+        // Start from a fresh mark, so the block below must raise it.
+        MemStats::reset_peak();
         let before = MemStats::snapshot();
         // Touch every page so the RSS actually grows.
-        let block = vec![1u8; 32 * 1024 * 1024];
+        let block = vec![1u8; 64 * 1024 * 1024];
+        std::hint::black_box(&block);
         let after = MemStats::snapshot();
         assert!(after.peak_rss_bytes >= before.peak_rss_bytes);
-        std::hint::black_box(&block);
+        drop(block);
+        MemStats::reset_peak();
         #[cfg(target_os = "linux")]
-        assert!(
-            after.peak_rss_bytes >= before.peak_rss_bytes + 16 * 1024 * 1024,
-            "32 MiB touched allocation must move the high-water mark: {} -> {}",
-            before.peak_rss_bytes,
-            after.peak_rss_bytes
-        );
+        {
+            let reset = MemStats::snapshot();
+            assert!(
+                after.peak_rss_bytes >= before.peak_rss_bytes + 32 * 1024 * 1024,
+                "64 MiB touched allocation must move the high-water mark: {} -> {}",
+                before.peak_rss_bytes,
+                after.peak_rss_bytes
+            );
+            assert!(
+                reset.peak_rss_bytes < after.peak_rss_bytes,
+                "reset must drop the freed block from the peak: {} -> {}",
+                after.peak_rss_bytes,
+                reset.peak_rss_bytes
+            );
+        }
     }
 }

@@ -12,11 +12,8 @@
 //!
 //! Counters are **thread-local**: a snapshot delta taken on one thread
 //! counts exactly the copies that thread made, however many other tests
-//! or runs are copying trees beside it. Work a run hands to helper
-//! threads (the parallel driver's precompute workers) is credited back
-//! to the calling thread with [`CopyStats::absorb`] at the join, the way
-//! `EvalMetrics::merge` folds per-worker metrics, so a run's delta is the
-//! same whichever driver ran it.
+//! or runs are copying trees beside it. The engine runs a session on
+//! the calling thread, so that thread's delta is the run's whole count.
 
 use std::cell::Cell;
 
@@ -109,19 +106,6 @@ impl CopyStats {
             handle_shares: self.handle_shares.saturating_sub(earlier.handle_shares),
         }
     }
-
-    /// Credit a delta measured on another thread (a worker that ran part
-    /// of this thread's run) to the calling thread's counters.
-    pub fn absorb(delta: &CopyStats) {
-        bump(|s| {
-            s.bytes_copied += delta.bytes_copied;
-            s.nodes_copied += delta.nodes_copied;
-            s.bytes_shared += delta.bytes_shared;
-            s.nodes_shared += delta.nodes_shared;
-            s.cow_materializations += delta.cow_materializations;
-            s.handle_shares += delta.handle_shares;
-        });
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +129,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_are_per_thread_and_absorbable() {
+    fn counters_are_per_thread() {
         let before = CopyStats::snapshot();
         let worker = std::thread::spawn(|| {
             let w0 = CopyStats::snapshot();
@@ -154,13 +138,11 @@ mod tests {
         })
         .join()
         .unwrap();
+        assert_eq!((worker.nodes_copied, worker.bytes_copied), (2, 50));
         assert_eq!(
             CopyStats::snapshot(),
             before,
             "another thread's copy leaked in"
         );
-        CopyStats::absorb(&worker);
-        let d = CopyStats::snapshot().delta_since(&before);
-        assert_eq!((d.nodes_copied, d.bytes_copied), (2, 50));
     }
 }

@@ -218,26 +218,23 @@ fn main() {
     );
     let _ = c;
 
-    // ---- scenario 6: the parallel evaluation driver ----------------------
-    // Eight identical calls fan in on one provider. The sequential
-    // reference evaluates the service eight times; the parallel driver
-    // collapses the duplicates onto a single evaluation — with the
-    // same results, the same traffic and the same report, bit for bit.
-    println!("\n————— Parallel driver: duplicate fan-in collapses —————");
-    let build6 = |driver: DriverKind| {
-        AxmlSystem::builder()
-            .peers(["coord", "provider"])
-            .link("coord", "provider", LinkCost::wan())
-            .doc("provider", "catalog", catalog(800))
-            .service(
-                "provider",
-                "scan",
-                r#"for $p in doc("catalog")//pkg where $p/size/text() > 9000 return {$p/@name}"#,
-            )
-            .driver(driver)
-            .build()
-            .unwrap()
-    };
+    // ---- scenario 6: request collapsing -----------------------------------
+    // Eight identical calls fan in on one provider. The engine evaluates
+    // the service once and answers the other seven calls from its
+    // session memo; every call still travels and is answered on the
+    // wire, so the traffic is that of eight calls.
+    println!("\n————— Request collapsing: duplicate fan-in —————");
+    let mut sys = AxmlSystem::builder()
+        .peers(["coord", "provider"])
+        .link("coord", "provider", LinkCost::wan())
+        .doc("provider", "catalog", catalog(800))
+        .service(
+            "provider",
+            "scan",
+            r#"for $p in doc("catalog")//pkg where $p/size/text() > 9000 return {$p/@name}"#,
+        )
+        .build()
+        .unwrap();
     let batch: String = std::iter::once("<batch>".to_string())
         .chain((0..8).map(|_| "<sc><peer>p1</peer><service>scan</service></sc>".to_string()))
         .chain(std::iter::once("</batch>".to_string()))
@@ -246,33 +243,19 @@ fn main() {
         tree: Tree::parse(&batch).unwrap(),
         at: a,
     };
-    let mut reports = Vec::new();
-    for (label, driver) in [
-        ("sequential", DriverKind::Sequential),
-        ("parallel(4)", DriverKind::Parallel { threads: 4 }),
-    ] {
-        let mut sys = build6(driver);
-        let t0 = std::time::Instant::now();
-        sys.eval(a, &e).unwrap();
-        let wall = t0.elapsed().as_secs_f64() * 1e3;
-        println!(
-            "{label:<12} {wall:>6.2} ms wall   {} msgs  {} B on the wire",
-            sys.stats().total_messages(),
-            sys.stats().total_bytes()
-        );
-        let ps = sys.parallel_stats();
-        if ps.jobs + ps.cache_hits + ps.dedup_hits > 0 {
-            println!(
-                "{:12} {} waves, {} duplicate(s) collapsed",
-                "",
-                ps.waves,
-                ps.dedup_hits + ps.cache_hits
-            );
-        }
-        reports.push(sys.run_report("fan-in").to_json());
-    }
-    assert_eq!(reports[0], reports[1], "drivers must agree bit-for-bit");
-    println!("reports:     identical across drivers ✓");
+    let t0 = std::time::Instant::now();
+    sys.eval(a, &e).unwrap();
+    let wall = t0.elapsed().as_secs_f64() * 1e3;
+    println!(
+        "8 calls      {wall:>6.2} ms wall   {} msgs  {} B on the wire",
+        sys.stats().total_messages(),
+        sys.stats().total_bytes()
+    );
+    println!(
+        "collapsed:   {} of 8 calls answered without re-running the service",
+        sys.collapsed_calls()
+    );
+    assert_eq!(sys.collapsed_calls(), 7, "one evaluation serves all eight");
 
     // ---- rule inventory --------------------------------------------------
     println!("\nactive rule set:");
