@@ -17,9 +17,10 @@
 //!
 //! Memory discipline rides along: each row records its own peak RSS
 //! (the process high-water mark is reset before the row's network is
-//! built, see [`MemStats::reset_peak`]) and interner pressure
-//! ([`axml_obs::MemStats`]) — the numbers the tier-1 smoke
-//! budget-checks — and the event queue's `u64` ledger is attached to
+//! built, see [`MemStats::reset_peak`]) — the number the tier-1 smoke
+//! budget-checks — and the labels it added to the process-wide interner
+//! (the [`axml_obs::MemStats`] snapshot after the row minus the one
+//! before it); the event queue's `u64` ledger is attached to
 //! every row's report, where an unbalanced ledger flags the row
 //! unreconciled.
 //!
@@ -75,6 +76,9 @@ struct Cell {
     live: LiveStats,
     run: RunReport,
     mem: MemStats,
+    /// Interner growth during the row: `(symbols, bytes)` the row added
+    /// to the process-wide interner.
+    new_labels: (u64, u64),
     drops: u64,
     retries: u64,
     failovers: u64,
@@ -148,6 +152,7 @@ fn build(n: usize) -> (AxmlSystem, Vec<PeerId>, Vec<PeerId>) {
 fn run_cell(n: usize, polls: usize, label: &'static str) -> Cell {
     // Each row reports its own peak, not the process's running maximum.
     MemStats::reset_peak();
+    let before = MemStats::snapshot();
     let (mut sys, clients, _mirrors) = build(n);
     let sink = LiveSink::new();
     sys.set_trace_sink(Box::new(sink.clone()));
@@ -217,6 +222,10 @@ fn run_cell(n: usize, polls: usize, label: &'static str) -> Cell {
     );
     sys.flush_trace().unwrap();
     let mem = MemStats::snapshot();
+    let new_labels = (
+        mem.interner_symbols - before.interner_symbols,
+        mem.interner_bytes - before.interner_bytes,
+    );
     let run = sys.run_report(format!("E14 n={n} {label}")).with_mem(mem);
     Cell {
         label,
@@ -225,6 +234,7 @@ fn run_cell(n: usize, polls: usize, label: &'static str) -> Cell {
         live: sink.stats(),
         run,
         mem,
+        new_labels,
         drops,
         retries,
         failovers,
@@ -279,6 +289,7 @@ pub fn run() -> Report {
             "p99 ms",
             "goodput",
             "peak MiB",
+            "new labels",
             "fingerprint",
         ],
     );
@@ -298,6 +309,8 @@ pub fn run() -> Report {
             ];
             row.extend(tail_cells(&cell.live));
             row.push(format!("{:.0}", cell.mem.peak_rss_mb()));
+            let (symbols, bytes) = cell.new_labels;
+            row.push(format!("{symbols} ({bytes} B)"));
             row.push(format!("{:016x}", cell.fingerprint));
             r.row_with_run(row, cell.run.clone());
         }
@@ -311,6 +324,7 @@ pub fn run() -> Report {
     r.note("fingerprint = FNV-1a over per-poll serialized results/errors + final traffic counters + makespan bits");
     r.note("clients poll Zipf(s=1.1): 80% catalog@any fetches, 20% names@any service calls, churn on the hottest route");
     r.note("peak MiB is each row's own high-water mark (reset before the row's build); the smoke gate budgets the maximum");
+    r.note("new labels = what the row added to the process-wide label interner (after minus before); later rows reuse earlier rows' labels");
     if mode == "smoke" {
         assert!(
             peak_mb < SMOKE_RSS_BUDGET_MB,

@@ -12,19 +12,23 @@
 //! new tree to a source document and propagates: every subscription whose
 //! service reads that document re-evaluates and ships only its **new**
 //! results (multiset delta over canonical forms) to its sink — the forward
-//! list, or the `sc`'s parent by default.
+//! list, or the `sc`'s parent by default. Subscriptions to the same call
+//! (provider, service, parameters) share one evaluation and its canonical
+//! forms through the engine's session memo until a graft changes the
+//! provider's state.
 
 use crate::engine::{EvalSession, Intent};
 use crate::error::{CoreError, CoreResult};
 use crate::sc::{ActivationMode, ScNode, ScProvider};
 use crate::system::AxmlSystem;
 use axml_obs::TraceEvent;
+use axml_query::delta::multiset_delta;
 use axml_query::matcher::MatchIndex;
 use axml_query::Query;
-use axml_xml::equiv::{canonicalize, Canon};
+use axml_xml::equiv::Canon;
 use axml_xml::ids::{DocName, NodeAddr, PeerId, ServiceName};
 use axml_xml::tree::Tree;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// What causes a subscription to re-evaluate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,8 +49,11 @@ pub enum MatcherMode {
     /// about). The default.
     #[default]
     Shared,
-    /// Re-evaluate every affected subscription — the per-subscription
+    /// Pump every affected subscription — the per-subscription
     /// reference loop the shared matcher must stay bit-identical to.
+    /// Pumps of the same call still share one evaluation through the
+    /// session memo, so this mode costs one evaluation per distinct
+    /// call, not one per subscription.
     Naive,
 }
 
@@ -375,24 +382,23 @@ impl AxmlSystem {
         // for every *indexed* subscription, whether its results can possibly
         // have changed. Subscriptions never registered with the index (or
         // registered as fallbacks) always pump.
-        let skip: Option<BTreeSet<u64>> = match self.matcher.mode {
+        let pumps: Option<Vec<bool>> = match self.matcher.mode {
             MatcherMode::Shared if !affected.is_empty() => {
                 self.matcher.indexes.get(&(at, doc)).map(|ix| {
                     let hits = ix.probe(&tree);
                     affected
                         .iter()
-                        .copied()
-                        .filter(|id| ix.is_registered(*id) && !hits.contains(id))
+                        .map(|id| !ix.is_registered(*id) || hits.contains(id))
                         .collect()
                 })
             }
             _ => None,
         };
         let mut delivered = 0;
-        for id in affected {
-            if let Some(skip) = &skip {
+        for (i, id) in affected.into_iter().enumerate() {
+            if let Some(pumps) = &pumps {
                 self.obs.metrics.matcher_probes += 1;
-                if skip.contains(&id) {
+                if !pumps[i] {
                     self.obs.metrics.matcher_skips += 1;
                     continue;
                 }
@@ -449,40 +455,30 @@ impl AxmlSystem {
             .iter()
             .position(|s| s.id == id)
             .ok_or_else(|| CoreError::Malformed(format!("no subscription {id}")))?;
-        let (provider, service, params, sink, caller, sc_id) = {
+        let (provider, service, params, sink, sc_id) = {
             let s = &self.subscriptions[idx];
             (
                 s.provider,
                 s.service.clone(),
                 s.params.clone(),
                 s.sink.clone(),
-                s.caller,
                 s.sc_id.clone(),
             )
         };
-        // Steps 2: the provider evaluates its query over the current state.
-        let svc = self.peers[provider.index()].service(&service, provider)?;
-        let query = svc.query.clone();
-        let results = query.eval_with_docs(&params, &self.peers[provider.index()])?;
+        // Step 2: the provider evaluates its query over the current state
+        // — once per (service, parameters) and provider state epoch: every
+        // other subscription to the same call shares the session memo's
+        // results and their canonical forms.
+        let call = self.memo_call(s, provider, &service, &params)?;
+        let (results, canons) = call.results_with_canons();
         // Delta: only what was never delivered before.
         let recomputed = results.len();
-        let fresh: Vec<Tree> = {
-            let s = &mut self.subscriptions[idx];
-            let mut budget = s.emitted.clone();
-            let mut fresh = Vec::new();
-            for t in results {
-                let c = canonicalize(&t, t.root());
-                match budget.get_mut(&c) {
-                    Some(n) if *n > 0 => *n -= 1,
-                    _ => fresh.push(t),
-                }
-            }
-            for t in &fresh {
-                *s.emitted.entry(canonicalize(t, t.root())).or_insert(0) += 1;
-            }
-            s.delivered += fresh.len();
-            fresh
-        };
+        let sub = &mut self.subscriptions[idx];
+        let fresh: Vec<Tree> = multiset_delta(&mut sub.emitted, canons)
+            .into_iter()
+            .map(|i| results[i].clone())
+            .collect();
+        sub.delivered += fresh.len();
         let suppressed = recomputed - fresh.len();
         self.obs.metrics.delta_fresh += fresh.len() as u64;
         self.obs.metrics.delta_suppressed += suppressed as u64;
@@ -501,7 +497,6 @@ impl AxmlSystem {
         // Step 3: ship to the sink (repeatedly, for continuous services).
         let _gate = self.deliver_to_nodes(s, provider, &sink, &fresh)?;
         let mut total = fresh.len();
-        let _ = caller;
         // §2.2: a call chained `after` this one activates per answer batch.
         if let Some(my_id) = sc_id {
             let chained: Vec<u64> = self

@@ -43,9 +43,11 @@ use axml_net::{FramedPayload, NetError, Payload};
 use axml_obs::{DataTag, TraceEvent};
 use axml_prng::SplitMix64;
 use axml_query::Query;
+use axml_xml::equiv::{canonicalize, Canon};
 use axml_xml::ids::{DocName, NodeAddr, PeerId, ServiceName};
 use axml_xml::store::Document;
 use axml_xml::tree::{NodeId, Tree};
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 /// A result destination: `(slot, part)` inside the session's slot table.
@@ -277,10 +279,24 @@ pub(crate) struct EvalSession {
 }
 
 /// One memoized service evaluation (see `EvalSession::svc_cache`).
-struct CachedCall {
+pub(crate) struct CachedCall {
     epoch: u64,
     results: Vec<Tree>,
     payload: Option<String>,
+    /// Canonical forms of `results`, computed on first use by a
+    /// subscription pump and shared by every later one.
+    canons: Option<Vec<Canon>>,
+}
+
+impl CachedCall {
+    /// The results beside their canonical forms, in result order.
+    pub(crate) fn results_with_canons(&mut self) -> (&[Tree], &[Canon]) {
+        let results = &self.results;
+        let canons = self
+            .canons
+            .get_or_insert_with(|| results.iter().map(|t| canonicalize(t, t.root())).collect());
+        (results, canons)
+    }
 }
 
 impl EvalSession {
@@ -1463,9 +1479,8 @@ impl AxmlSystem {
 
     /// The provider-side evaluation of one service call: results plus
     /// (when the call must be answered over the wire) the serialized
-    /// response payload. An identical call earlier in the session, with
-    /// the provider's state epoch unchanged, is collapsed onto that
-    /// call's memoized result; anything else is evaluated and memoized.
+    /// response payload, from the session memo (see
+    /// [`AxmlSystem::memo_call`]).
     fn service_results(
         &mut self,
         s: &mut EvalSession,
@@ -1474,36 +1489,61 @@ impl AxmlSystem {
         params: &[Vec<Tree>],
         need_payload: bool,
     ) -> CoreResult<(Vec<Tree>, Option<String>)> {
-        let epoch = self.state_epochs[prov.index()];
-        let key = (prov, service.clone(), params_key(params));
-        if let Some(hit) = s.svc_cache.get_mut(&key) {
-            if hit.epoch == epoch {
-                self.collapsed_calls += 1;
-                if need_payload && hit.payload.is_none() {
-                    hit.payload = Some(Self::serialize_forest(&hit.results));
-                }
-                return Ok((hit.results.clone(), hit.payload.clone()));
-            }
-        }
-        let svc = self.peers[prov.index()].service(service, prov)?;
-        if svc.arity() != params.len() {
+        let arity = self.peers[prov.index()].service(service, prov)?.arity();
+        if arity != params.len() {
             return Err(CoreError::Query(axml_query::QueryError::ArityMismatch {
-                expected: svc.arity(),
+                expected: arity,
                 got: params.len(),
             }));
         }
-        let query = svc.query.clone();
-        let results = query.eval_with_docs(params, &self.peers[prov.index()])?;
-        let payload = need_payload.then(|| Self::serialize_forest(&results));
-        s.svc_cache.insert(
-            key,
-            CachedCall {
-                epoch,
-                results: results.clone(),
-                payload: payload.clone(),
-            },
-        );
-        Ok((results, payload))
+        let call = self.memo_call(s, prov, service, params)?;
+        if need_payload && call.payload.is_none() {
+            call.payload = Some(Self::serialize_forest(&call.results));
+        }
+        Ok((call.results.clone(), call.payload.clone()))
+    }
+
+    /// Request collapsing: the results of `service@prov(params)` over the
+    /// provider's current state. A call identical to an earlier one in
+    /// the session, with the provider's state epoch unchanged, is
+    /// answered from that call's memo entry (counted in
+    /// [`AxmlSystem::collapsed_calls`]); anything else is evaluated and
+    /// memoized. One-shot calls and subscription pumps share the memo.
+    pub(crate) fn memo_call<'s>(
+        &mut self,
+        s: &'s mut EvalSession,
+        prov: PeerId,
+        service: &ServiceName,
+        params: &[Vec<Tree>],
+    ) -> CoreResult<&'s mut CachedCall> {
+        let epoch = self.state_epochs[prov.index()];
+        let key = (prov, service.clone(), params_key(params));
+        match s.svc_cache.entry(key) {
+            Entry::Occupied(hit) if hit.get().epoch == epoch => {
+                self.collapsed_calls += 1;
+                Ok(hit.into_mut())
+            }
+            entry => {
+                let peer = &self.peers[prov.index()];
+                let results = peer
+                    .service(service, prov)?
+                    .query
+                    .eval_with_docs(params, peer)?;
+                let call = CachedCall {
+                    epoch,
+                    results,
+                    payload: None,
+                    canons: None,
+                };
+                Ok(match entry {
+                    Entry::Occupied(mut stale) => {
+                        stale.insert(call);
+                        stale.into_mut()
+                    }
+                    Entry::Vacant(v) => v.insert(call),
+                })
+            }
+        }
     }
 
     /// §2.2 steps 2–3 at the provider: apply the implementation query,

@@ -44,7 +44,8 @@ pub struct AxmlSystem {
     /// Per-peer state epochs, bumped on every mutation of Σ|p; they
     /// guard the engine's request-collapsing memo.
     pub(crate) state_epochs: Vec<u64>,
-    /// Service calls answered from the request-collapsing memo.
+    /// Service calls and subscription pumps answered from the
+    /// request-collapsing memo.
     pub(crate) collapsed_calls: u64,
     pub(crate) retry: RetryPolicy,
     pub(crate) failover: bool,
@@ -132,6 +133,9 @@ impl AxmlSystem {
     /// (cumulative): within one evaluation session, a call identical to
     /// an earlier one (same provider, service and parameter forests,
     /// provider state unchanged) collapses onto the earlier result.
+    /// Subscription pumps count too: on a feed or an activation, every
+    /// pump after the first of the same call, with no graft into the
+    /// provider in between, is one collapsed call.
     pub fn collapsed_calls(&self) -> u64 {
         self.collapsed_calls
     }

@@ -23,9 +23,11 @@ pub struct MemStats {
     pub peak_rss_bytes: u64,
     /// Current resident set size in bytes (`VmRSS`); 0 when unknown.
     pub current_rss_bytes: u64,
-    /// Distinct labels in the global interner.
+    /// Distinct labels in the global interner — process-wide: every
+    /// run in the process shares (and grows) one interner.
     pub interner_symbols: u64,
-    /// Total interned text bytes (leaked for `'static` access).
+    /// Total interned text bytes (leaked for `'static` access);
+    /// process-wide, like `interner_symbols`.
     pub interner_bytes: u64,
 }
 

@@ -254,7 +254,7 @@ impl std::fmt::Display for RunReport {
         if let Some(mem) = &self.mem {
             writeln!(
                 f,
-                "memory     : peak RSS {:.1} MiB (now {:.1} MiB), interner {} symbols / {} B",
+                "memory     : peak RSS {:.1} MiB (now {:.1} MiB), process-wide interner {} symbols / {} B",
                 mem.peak_rss_mb(),
                 mem.current_rss_bytes as f64 / (1024.0 * 1024.0),
                 mem.interner_symbols,
@@ -455,7 +455,7 @@ mod tests {
         let text = r.to_string();
         assert!(
             text.contains(
-                "memory     : peak RSS 64.0 MiB (now 32.0 MiB), interner 12 symbols / 99 B"
+                "memory     : peak RSS 64.0 MiB (now 32.0 MiB), process-wide interner 12 symbols / 99 B"
             ),
             "{text}"
         );

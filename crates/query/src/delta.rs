@@ -132,32 +132,56 @@ impl<'d> ContinuousEval<'d> {
             DeltaStrategy::SemiNaive => {
                 let delta = [tree.clone()];
                 let ctx = Ctx::with_override(&self.state, self.docs, param, &delta);
-                self.plan.eval_ctx(&ctx)?
+                let out = self.plan.eval_ctx(&ctx)?;
+                for t in &out {
+                    *self.emitted.entry(canonicalize(t, t.root())).or_insert(0) += 1;
+                }
+                out
             }
             DeltaStrategy::Difference => {
                 self.state[param].push(tree.clone());
                 let after = self.plan.eval(&self.state, self.docs)?;
                 self.state[param].pop();
                 // multiset difference vs everything already emitted
-                let mut fresh = Vec::new();
-                let mut budget: HashMap<Canon, usize> = self.emitted.clone();
-                for t in after {
-                    let c = canonicalize(&t, t.root());
-                    match budget.get_mut(&c) {
-                        Some(n) if *n > 0 => *n -= 1,
-                        _ => fresh.push(t),
-                    }
-                }
-                fresh
+                let canons: Vec<Canon> = after.iter().map(|t| canonicalize(t, t.root())).collect();
+                multiset_delta(&mut self.emitted, &canons)
+                    .into_iter()
+                    .map(|i| after[i].clone())
+                    .collect()
             }
         };
         self.state[param].push(tree);
-        for t in &out {
-            *self.emitted.entry(canonicalize(t, t.root())).or_insert(0) += 1;
-        }
         self.emitted_count += out.len();
         Ok(out)
     }
+}
+
+/// The multiset delta of one full recomputation. `canons` are the
+/// canonical forms of the recomputed results, in result order; the
+/// positions returned are the results `emitted` does not yet account
+/// for — the k-th occurrence of a form is fresh once `emitted` holds
+/// fewer than k copies of it — and each is recorded into `emitted`.
+///
+/// Costs O(|canons|): occurrences are counted against `emitted` in
+/// place, never by cloning it.
+pub fn multiset_delta(emitted: &mut HashMap<Canon, usize>, canons: &[Canon]) -> Vec<usize> {
+    let mut used: HashMap<&Canon, usize> = HashMap::new();
+    let mut fresh = Vec::new();
+    for (i, c) in canons.iter().enumerate() {
+        let have = emitted.get(c).copied().unwrap_or(0);
+        if have > 0 {
+            let n = used.entry(c).or_insert(0);
+            if *n < have {
+                *n += 1;
+                continue;
+            }
+        }
+        fresh.push(i);
+    }
+    for &i in &fresh {
+        *emitted.entry(canons[i].clone()).or_insert(0) += 1;
+    }
+    fresh
 }
 
 #[cfg(test)]
@@ -273,6 +297,78 @@ mod tests {
             )
             .unwrap();
         assert!(forest_equiv(&all, &batch));
+    }
+
+    /// The clone-and-decrement loop `multiset_delta` replaced: the
+    /// oracle its results must equal.
+    fn delta_by_cloned_budget(emitted: &mut HashMap<Canon, usize>, canons: &[Canon]) -> Vec<usize> {
+        let mut budget = emitted.clone();
+        let mut fresh = Vec::new();
+        for (i, c) in canons.iter().enumerate() {
+            match budget.get_mut(c) {
+                Some(n) if *n > 0 => *n -= 1,
+                _ => fresh.push(i),
+            }
+        }
+        for &i in &fresh {
+            *emitted.entry(canons[i].clone()).or_insert(0) += 1;
+        }
+        fresh
+    }
+
+    #[test]
+    fn multiset_delta_matches_the_cloned_budget_oracle() {
+        let canon = |xml: &str| {
+            let t = Tree::parse(xml).unwrap();
+            canonicalize(&t, t.root())
+        };
+        let hit = canon("<hit/>");
+        let other = canon(r#"<hit n="1"/>"#);
+        // Recomputations of a growing duplicate-heavy result: each adds
+        // one copy of the same canonical tree (and sometimes another).
+        let rounds: Vec<Vec<Canon>> = vec![
+            vec![hit.clone()],
+            vec![hit.clone(), hit.clone()],
+            vec![hit.clone(), other.clone(), hit.clone()],
+            vec![other.clone(), hit.clone(), hit.clone(), hit.clone()],
+            vec![hit.clone(), hit.clone(), hit.clone(), other.clone()],
+            vec![
+                other.clone(),
+                other.clone(),
+                hit.clone(),
+                hit.clone(),
+                hit.clone(),
+            ],
+        ];
+        let (mut fast, mut oracle) = (HashMap::new(), HashMap::new());
+        for (k, canons) in rounds.iter().enumerate() {
+            let got = multiset_delta(&mut fast, canons);
+            let want = delta_by_cloned_budget(&mut oracle, canons);
+            assert_eq!(got, want, "round {k}");
+            assert_eq!(fast, oracle, "round {k}");
+        }
+        assert_eq!(fast[&hit], 3);
+        assert_eq!(fast[&other], 2);
+    }
+
+    #[test]
+    fn the_same_tree_fed_twice_is_delivered_once_each_time() {
+        let t = Tree::parse("<hit/>").unwrap();
+        let c = canonicalize(&t, t.root());
+        let mut emitted = HashMap::new();
+        // Feed 1: the result holds one copy; feed 2: the same canonical
+        // tree arrived again, so the recomputation holds two.
+        assert_eq!(
+            multiset_delta(&mut emitted, std::slice::from_ref(&c)),
+            vec![0]
+        );
+        assert_eq!(
+            multiset_delta(&mut emitted, &[c.clone(), c.clone()]),
+            vec![1]
+        );
+        // Nothing new arrived: nothing is delivered.
+        assert!(multiset_delta(&mut emitted, &[c.clone(), c.clone()]).is_empty());
+        assert_eq!(emitted[&c], 2);
     }
 
     #[test]

@@ -31,6 +31,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "== tier-1: engine identity (pinned output digests, request collapsing) =="
 RUST_BACKTRACE=1 cargo test --release -q -p axml-bench --test engine_identity
 
+echo "== tier-1: collapsed subscription pumps (pinned deliveries, collapse counts) =="
+RUST_BACKTRACE=1 cargo test --release -q --test continuous_collapse
+
 echo "== tier-1: chaos matrix under two extra pinned fault seeds =="
 # tests/chaos.rs always covers its three built-in seeds; AXML_CHAOS_SEED
 # appends one more per run. Any non-reconciling report, seed-replay
