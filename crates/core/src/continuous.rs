@@ -468,8 +468,9 @@ impl AxmlSystem {
         // Step 2: the provider evaluates its query over the current state
         // — once per (service, parameters) and provider state epoch: every
         // other subscription to the same call shares the session memo's
-        // results and their canonical forms.
-        let call = self.memo_call(s, provider, &service, &params)?;
+        // results and their canonical forms. Unlike a one-shot call, a
+        // pump does not insist on exact arity.
+        let call = self.memo_call(s, provider, &service, &params, false)?;
         let (results, canons) = call.results_with_canons();
         // Delta: only what was never delivered before.
         let recomputed = results.len();
@@ -589,6 +590,33 @@ mod tests {
         // sc + 1 initial item under the root (sc's parent)
         assert_eq!(digest.children(digest.root()).len(), 2);
         assert!(digest.serialize().contains("v0"));
+    }
+
+    #[test]
+    fn one_shot_calls_refuse_a_pump_memo_entry_of_the_wrong_arity() {
+        let (mut sys, _client, server) = news_system();
+        let service: ServiceName = "db-news".into();
+        let extra = vec![vec![Tree::parse("<topic>db</topic>").unwrap()]];
+        let mut s = sys.new_session();
+        // A pump evaluates regardless of arity and memoizes the call.
+        let pumped = sys.memo_call(&mut s, server, &service, &extra, false);
+        assert_eq!(pumped.unwrap().results_with_canons().0.len(), 1);
+        let collapsed = sys.collapsed_calls();
+        // A one-shot call with the same key hits that entry, but is
+        // still refused on arity and not counted as collapsed.
+        let one_shot = sys.memo_call(&mut s, server, &service, &extra, true);
+        assert!(matches!(
+            one_shot.err(),
+            Some(CoreError::Query(axml_query::QueryError::ArityMismatch {
+                expected: 0,
+                got: 1
+            }))
+        ));
+        assert_eq!(sys.collapsed_calls(), collapsed);
+        // A second pump of the same call collapses onto the entry.
+        sys.memo_call(&mut s, server, &service, &extra, false)
+            .unwrap();
+        assert_eq!(sys.collapsed_calls(), collapsed + 1);
     }
 
     #[test]

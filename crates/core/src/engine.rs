@@ -281,6 +281,8 @@ pub(crate) struct EvalSession {
 /// One memoized service evaluation (see `EvalSession::svc_cache`).
 pub(crate) struct CachedCall {
     epoch: u64,
+    /// The service's arity when the entry was evaluated.
+    arity: usize,
     results: Vec<Tree>,
     payload: Option<String>,
     /// Canonical forms of `results`, computed on first use by a
@@ -1480,7 +1482,8 @@ impl AxmlSystem {
     /// The provider-side evaluation of one service call: results plus
     /// (when the call must be answered over the wire) the serialized
     /// response payload, from the session memo (see
-    /// [`AxmlSystem::memo_call`]).
+    /// [`AxmlSystem::memo_call`]). The parameter count must match the
+    /// service's arity exactly.
     fn service_results(
         &mut self,
         s: &mut EvalSession,
@@ -1489,14 +1492,7 @@ impl AxmlSystem {
         params: &[Vec<Tree>],
         need_payload: bool,
     ) -> CoreResult<(Vec<Tree>, Option<String>)> {
-        let arity = self.peers[prov.index()].service(service, prov)?.arity();
-        if arity != params.len() {
-            return Err(CoreError::Query(axml_query::QueryError::ArityMismatch {
-                expected: arity,
-                got: params.len(),
-            }));
-        }
-        let call = self.memo_call(s, prov, service, params)?;
+        let call = self.memo_call(s, prov, service, params, true)?;
         if need_payload && call.payload.is_none() {
             call.payload = Some(Self::serialize_forest(&call.results));
         }
@@ -1509,29 +1505,42 @@ impl AxmlSystem {
     /// answered from that call's memo entry (counted in
     /// [`AxmlSystem::collapsed_calls`]); anything else is evaluated and
     /// memoized. One-shot calls and subscription pumps share the memo.
+    /// With `exact_arity`, a parameter count other than the service's
+    /// arity is refused before any evaluation; a hit checks it against
+    /// the arity recorded in the entry, so it needs no service lookup.
     pub(crate) fn memo_call<'s>(
         &mut self,
         s: &'s mut EvalSession,
         prov: PeerId,
         service: &ServiceName,
         params: &[Vec<Tree>],
+        exact_arity: bool,
     ) -> CoreResult<&'s mut CachedCall> {
+        let check = |arity: usize| {
+            if exact_arity && arity != params.len() {
+                return Err(CoreError::Query(axml_query::QueryError::ArityMismatch {
+                    expected: arity,
+                    got: params.len(),
+                }));
+            }
+            Ok(())
+        };
         let epoch = self.state_epochs[prov.index()];
         let key = (prov, service.clone(), params_key(params));
         match s.svc_cache.entry(key) {
             Entry::Occupied(hit) if hit.get().epoch == epoch => {
+                check(hit.get().arity)?;
                 self.collapsed_calls += 1;
                 Ok(hit.into_mut())
             }
             entry => {
                 let peer = &self.peers[prov.index()];
-                let results = peer
-                    .service(service, prov)?
-                    .query
-                    .eval_with_docs(params, peer)?;
+                let svc = peer.service(service, prov)?;
+                check(svc.arity())?;
                 let call = CachedCall {
                     epoch,
-                    results,
+                    arity: svc.arity(),
+                    results: svc.query.eval_with_docs(params, peer)?,
                     payload: None,
                     canons: None,
                 };

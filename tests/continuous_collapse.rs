@@ -289,6 +289,10 @@ const EXPECTED: &[&str] = &[
     "identical Naive: steps=[2, 2, 2, 6, 0, 6, 6, 0] docs=203f60ed493ed59d/1445 trace=4c0317083e5851c0/10844 report=f7ae68007b47a8df/1249",
     "params Shared: steps=[3, 2, 3, 2, 3, 3, 0] docs=1756bc0148d21b1c/1181 trace=8e9ce7834a6de417/7558 report=3a3813f0089d11c0/1085",
     "params Naive: steps=[3, 2, 3, 2, 3, 3, 0] docs=1756bc0148d21b1c/1181 trace=1c20c5cc81cd79f9/7769 report=cab4249d4239341d/1083",
+    // Known-divergent pair: with a sink in the board its service reads,
+    // Shared and Naive deliver different documents (the matcher's probe
+    // is unsound there; see ROADMAP "Fix first"). These two lines pin the
+    // current behaviour and are to be re-recorded once that is fixed.
     "local-sink Shared: steps=[2, 2, 35, 0, 98, 263, 0] docs=397599649e8cbb90/14751 trace=4f9e449515634d0b/4338 report=2831a01dd67b099a/925",
     "local-sink Naive: steps=[2, 2, 35, 87, 239, 632, 1650] docs=e0c2e41b97e825b6/93591 trace=aefc6feb22364dbb/6255 report=d32f8d8730114bb3/938",
     "after-chain Shared: steps=[2, 3, 2, 0, 2, 2, 0] docs=04adf4e59f2d0298/950 trace=9b16f183904262bf/6219 report=c5dd560138260772/1083",
